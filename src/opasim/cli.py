@@ -196,6 +196,9 @@ def parse_config(text: str) -> RunConfig:
         present = [f"{k} (line {lines[k]})" for k in keys if k in lines]
         return ", ".join(present) if present else "defaults"
 
+    for key in ("omega0", "omega1", "omega2"):
+        if not values[key] > 0:
+            raise ConfigError(f"{key} must be > 0; set by {_lines_of(key)}")
     try:
         params = ModeParams(
             omega0=values["omega0"], omega1=values["omega1"],
@@ -224,6 +227,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"dt must be > 0; set by {_lines_of('dt')}")
     if values["t_final"] is not None and values["t_final"] < 0:
         raise ConfigError(f"t_final must be >= 0; set by {_lines_of('t_final')}")
+    if scenario == "propagator-convergence" and values["t_final"] == 0:
+        raise ConfigError(
+            f"t_final must be > 0 to slice a path; set by {_lines_of('t_final')}"
+        )
     needs_steps = scenario in ("meanfield", "fluorescence", "thermal-ensemble",
                                "action-check", "sweep")
     if needs_steps and values["t_final"] < values["dt"]:
@@ -247,7 +254,7 @@ def parse_config(text: str) -> RunConfig:
 
     output = values["output"] if values["output"] is not None else f"{scenario}.csv"
 
-    return RunConfig(
+    config = RunConfig(
         scenario=scenario, params=params, dims=dims,
         alpha1=complex(values["alpha1_re"], values["alpha1_im"]),
         alpha2=complex(values["alpha2_re"], values["alpha2_im"]),
@@ -257,6 +264,16 @@ def parse_config(text: str) -> RunConfig:
         sweep_key=values["sweep_key"], sweep_start=values["sweep_start"],
         sweep_stop=values["sweep_stop"], sweep_count=values["sweep_count"],
     )
+    if scenario == "sweep":
+        # the sweep is linear, so its endpoints bound every point's value
+        for key in ("sweep_start", "sweep_stop"):
+            try:
+                _config_with_sweep_value(config, values[key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{exc}; set by {_lines_of('sweep_key', key)}"
+                ) from None
+    return config
 
 
 def _fmt(value) -> str:

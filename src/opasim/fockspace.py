@@ -35,9 +35,6 @@ DENSE_OPERATOR_LIMIT = 4096
 #: Tolerance on the frequency-matching constraint omega0 = omega1 + omega2.
 FREQUENCY_MATCH_TOL = 1e-12
 
-#: Coherent labels with |alpha|^2 > d/4 are flagged as poorly truncated.
-COHERENT_TRUNCATION_RATIO = 0.25
-
 #: Pre-normalization norm deficit above which a truncation warning is issued.
 NORM_DEFICIT_WARN = 1e-6
 
@@ -267,18 +264,14 @@ def coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
 def coherent_state(alpha: complex, d: int) -> np.ndarray:
     """Truncated single-mode coherent state, renormalized to unit norm.
 
-    Warns when |alpha|^2 exceeds d/4 or when the pre-normalization norm
-    deficit exceeds ``NORM_DEFICIT_WARN``: past either threshold the
-    truncated ladder no longer represents the intended state faithfully.
+    Warns when the pre-normalization norm deficit exceeds
+    ``NORM_DEFICIT_WARN``: past that threshold the truncated ladder no
+    longer represents the intended state faithfully.  The deficit measures
+    the Poisson tail beyond the top level, which a ladder of about
+    |alpha|^2 + c |alpha| levels already keeps small.
     """
     if d < 2:
         raise ValueError(f"ladder dimension must be >= 2, got {d!r}")
-    if abs(alpha) ** 2 > COHERENT_TRUNCATION_RATIO * d:
-        warnings.warn(
-            f"coherent label |alpha|^2 = {abs(alpha)**2:.3g} exceeds d/4 = "
-            f"{d / 4:.3g}; truncation threshold passed",
-            TruncationWarning, stacklevel=2,
-        )
     c = coherent_amplitudes(alpha, d)
     norm = np.linalg.norm(c)
     deficit = 1.0 - norm

@@ -131,15 +131,22 @@ class TestScenarios:
         assert data.shape[0] == 11
         assert np.max(data[:, header.index("norm_dev")]) < 1e-9
 
-    def test_golden_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("scenario,extra", [
+        ("meanfield", "seed = 5\n"),
+        ("quantum", "phi = 0.7\nalpha1_im = 0.4\nd0 = 9\nd1 = 7\nd2 = 6\n"),
+        ("fluorescence", "phi = -1.1\nd0 = 12\nd1 = 6\nd2 = 6\n"),
+    ], ids=["meanfield", "quantum", "fluorescence"])
+    def test_golden_rerun_is_byte_identical(self, tmp_path, scenario, extra):
         """Same config, same seed: byte-identical CSV artifacts."""
-        text = MINIMAL_MEANFIELD + "seed = 5\n"
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         f"scenario = {scenario}") + extra
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
             assert main([str(_write(tmp_path, f"cfg_{sub}.cfg", text)),
                          "--output-dir", str(tmp_path / sub), "--quiet"]) == 0
-        first = (tmp_path / "a" / "meanfield.csv").read_bytes()
-        second = (tmp_path / "b" / "meanfield.csv").read_bytes()
+        first = (tmp_path / "a" / f"{scenario}.csv").read_bytes()
+        second = (tmp_path / "b" / f"{scenario}.csv").read_bytes()
+        assert first.count(b"\n") == 102  # header + floor(t_final/dt) + 1 rows
         assert first == second
 
     def test_propagator_convergence_table_decreases(self, tmp_path):
@@ -251,6 +258,35 @@ class TestMainExitCodes:
     def test_missing_config_file_exits_5(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.cfg")]) == 5
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,edits,extra", [
+        pytest.param("sweep", {}, "sweep_key = kappa\nsweep_start = -1\n"
+                     "sweep_stop = 0.4\nsweep_count = 3\n", id="kappa-sweep-start"),
+        pytest.param("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\n"
+                     "sweep_stop = -0.5\nsweep_count = 3\n", id="kappa-sweep-stop"),
+        pytest.param("sweep", {}, "sweep_key = temperature\nsweep_start = -1\n"
+                     "sweep_stop = 1\nsweep_count = 3\n",
+                     id="temperature-sweep-start"),
+        pytest.param("propagator-convergence", {"t_final = 1.0": "t_final = 0"},
+                     "", id="zero-time-path"),
+        pytest.param("thermal-ensemble",
+                     {"omega0 = 2.0": "omega0 = 0.8", "omega1 = 1.2": "omega1 = 0"},
+                     "", id="zero-frequency"),
+        pytest.param("meanfield",
+                     {"omega0 = 2.0": "omega0 = -0.4", "omega1 = 1.2": "omega1 = -1.2"},
+                     "", id="negative-frequency"),
+    ])
+    def test_invalid_run_values_exit_2(self, tmp_path, capsys, scenario, edits,
+                                       extra):
+        """Values that would fail deep inside a run are config errors."""
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         f"scenario = {scenario}")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = _write(tmp_path, "bad.cfg", text + extra)
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_unwritable_output_exits_5(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.cfg", MINIMAL_MEANFIELD)

@@ -206,7 +206,7 @@ class TestCoherentStates:
 
     def test_truncation_threshold_warns(self):
         with pytest.warns(TruncationWarning):
-            coherent_state(3.0, 16)  # |alpha|^2 = 9 > 16/4
+            coherent_state(3.0, 16)  # the ladder loses 1.1e-2 of its norm
 
     @pytest.mark.parametrize("alpha,d", [
         (1.0, 40), (2.0, 28), (2.6457513110645907, 28), (3.1622776601683795, 40),

@@ -2,12 +2,14 @@
 
 Oracles used here: closed-form free-mode overlaps, the mode-1/mode-2
 exchange symmetry of the coupled system, conservation laws forced by the
-interaction's selection rule, and the hyperbolic gain law of the
-linearized (undepleted pump) dynamics.
+interaction's selection rule, the hyperbolic gain law of the linearized
+(undepleted pump) dynamics, and the generic eigh/Krylov propagation of the
+assembled Hamiltonian as the oracle for the charge-sector route.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from opasim.fockspace import (
     ModeParams,
@@ -24,6 +26,8 @@ from opasim.quantum import (
     fluorescence_from_vacuum,
     propagator_exact,
     single_mode_propagator,
+    system_hamiltonian,
+    top_level_population,
 )
 
 
@@ -132,6 +136,66 @@ class TestEvolveState:
         h = build_hamiltonian(params, dims)
         with pytest.raises(ValueError, match="mismatch"):
             evolve_state(h, np.zeros(4, dtype=complex), 1.0, 2)
+
+
+class TestSectorRoute:
+    """The charge-sector propagation against eigh/Krylov of the assembled H."""
+
+    PHI = float(np.random.default_rng(23).uniform(-np.pi, np.pi))
+
+    @pytest.mark.parametrize("dims", [
+        TruncationDims(9, 5, 4), TruncationDims(4, 9, 5), TruncationDims(5, 4, 9),
+    ], ids=["pump-largest", "signal-largest", "idler-largest"])
+    @pytest.mark.parametrize("params", [
+        ModeParams(2.0, 1.3, 0.7, kappa_mag=0.25, phi=PHI, pump_alpha0=1.5),
+        ModeParams(2.0, 1.3, 0.7, kappa_mag=0.0, phi=PHI, pump_alpha0=1.5),
+        ModeParams(2.0, 1.3, 0.7, kappa_mag=0.4, phi=-2.0, pump_alpha0=1.5,
+                   include_zero_point=True),
+    ], ids=["random-phi", "uncoupled", "zero-point"])
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_matches_oracle(self, dims, params):
+        """States, energies and expectations agree to 1e-10.
+
+        The vacuum signal/idler state touches only the chains with
+        n1 = n2, so the route skips all the others; the random state
+        occupies every chain.
+        """
+        rng = np.random.default_rng(dims.total)
+        generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+        vacuum_pair = product_coherent_state(params.pump_alpha0, 0, 0, dims)
+        for psi0 in (vacuum_pair, generic / np.linalg.norm(generic)):
+            sector = evolve_state(system_hamiltonian(params, dims), psi0, 3.0, 7,
+                                  dims=dims)
+            oracle = evolve_state(build_hamiltonian_sparse(params, dims), psi0,
+                                  3.0, 7, dims=dims)
+            np.testing.assert_allclose(sector.states, oracle.states, atol=1e-10)
+            np.testing.assert_allclose(sector.energies, oracle.energies,
+                                       atol=1e-10)
+            np.testing.assert_allclose(sector.expectations, oracle.expectations,
+                                       atol=1e-10)
+
+    def test_propagator_above_dense_limit(self):
+        """1320 states, past the dense-eigh size: matches expm_multiply."""
+        dims = TruncationDims(12, 11, 10)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2, phi=self.PHI)
+        alpha_a, alpha_b, t = (1.2, 0.5j, -0.3), (1.1 - 0.2j, 0.4, 0.2j), 1.7
+        psi_a = product_coherent_state(*alpha_a, dims)
+        psi_b = product_coherent_state(*alpha_b, dims)
+        reference = np.vdot(psi_b, expm_multiply(
+            -1j * t * build_hamiltonian_sparse(params, dims), psi_a))
+        value = propagator_exact(params, dims, alpha_a, alpha_b, t)
+        assert abs(value - reference) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_leakage_is_top_level_population(self):
+        dims = TruncationDims(5, 5, 5)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3, pump_alpha0=2.0)
+        result = fluorescence_from_vacuum(params, dims, 2.0, 5)
+        assert result.leakage.shape == (5,)
+        assert result.leakage[-1] > 1e-6
+        for k in range(5):
+            assert result.leakage[k] == top_level_population(result.states[k],
+                                                             dims)
 
 
 class TestExpectationNumber:
