@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResourceLimitError
 from .fockspace import ModeParams, TruncationDims, product_coherent_state
-from .meanfield import MeanFieldState, Trajectory, integrate_rk4, manley_rowe, num_steps
+from .meanfield import MeanFieldState, Trajectory, integrate_rk4, num_steps
 from .pathintegral import (
     free_mode_path,
     free_propagator_closed_form,
@@ -47,7 +48,7 @@ SCENARIOS = (
 
 #: Keys a sweep may vary without breaking the frequency-matching constraint.
 SWEEPABLE_KEYS = (
-    "kappa", "phi", "temperature",
+    "kappa", "phi",
     "alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im",
     "alpha2_re", "alpha2_im",
 )
@@ -276,17 +277,20 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+@functools.lru_cache(maxsize=64)
+def _row_format(types: tuple[type, ...]) -> str:
+    """%-format of a CSV row with these value types: integers exactly,
+    everything else as a float with 17 significant digits."""
+    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                    for t in types) + "\n"
 
 
 def write_csv_atomic(path: Path, header: list[str], rows) -> int:
     """Write a CSV (LF newlines, UTF-8, no BOM) via temp file + rename.
 
-    The temp file lives in the target directory (rename stays atomic) with
-    a unique name, and is removed if the write fails partway.
+    Rows are written as they are drawn from ``rows``.  The temp file lives
+    in the target directory (rename stays atomic) with a unique name, and
+    is removed if the write fails partway.  Returns the number of rows.
     """
     fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                     dir=path.parent or None)
@@ -294,9 +298,9 @@ def write_csv_atomic(path: Path, header: list[str], rows) -> int:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-                count += 1
+            for count, row in enumerate(rows, start=1):
+                row = tuple(row)
+                fh.write(_row_format(tuple(map(type, row))) % row)
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -320,23 +324,30 @@ def _initial_state(config: RunConfig) -> MeanFieldState:
 
 
 def _write_meanfield_csv(traj: Trajectory, out_path: Path) -> tuple[int, float]:
-    """Write the mean-field time series; returns (rows, max relative MR drift)."""
-    mr0 = manley_rowe(traj.samples[0])
-    scale = max(abs(mr0[0]), abs(mr0[1]), 1e-300)
+    """Write the mean-field time series; returns (rows, max relative MR drift).
+
+    The Manley-Rowe columns are (n0 + n1, n0 + n2, n1 - n2).
+    """
     drift = 0.0
-    rows = []
-    for t, s in zip(traj.times(), traj.samples):
-        mr = manley_rowe(s)
-        drift = max(drift, max(abs(a - b) for a, b in zip(mr, mr0)) / scale)
-        rows.append((
-            t, s.alpha0.real, s.alpha0.imag, s.alpha1.real, s.alpha1.imag,
-            s.alpha2.real, s.alpha2.imag,
-            abs(s.alpha0) ** 2, abs(s.alpha1) ** 2, abs(s.alpha2) ** 2,
-            mr[0], mr[1], mr[2],
-        ))
+
+    def rows():
+        nonlocal drift
+        mr0 = None
+        # one list of Python complex numbers per mode, not one list per row
+        for t, a0, a1, a2 in zip(traj.times(), *traj.samples.T.tolist()):
+            n0, n1, n2 = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2
+            mr1, mr2, mr3 = n0 + n1, n0 + n2, n1 - n2
+            if mr0 is None:
+                mr0 = (mr1, mr2, mr3)
+                scale = max(abs(mr1), abs(mr2), 1e-300)
+            drift = max(drift, max(abs(mr1 - mr0[0]), abs(mr2 - mr0[1]),
+                                   abs(mr3 - mr0[2])) / scale)
+            yield (t, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag,
+                   n0, n1, n2, mr1, mr2, mr3)
+
     header = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
               "n0", "n1", "n2", "mr1", "mr2", "mr3"]
-    n_rows = write_csv_atomic(out_path, header, rows)
+    n_rows = write_csv_atomic(out_path, header, rows())
     return n_rows, drift
 
 
@@ -414,8 +425,8 @@ def _run_action_check(config: RunConfig, out_path: Path) -> ScenarioReport:
     path = path_from_trajectory(traj)
     diffs = lagrangian_difference(path, config.params,
                                   -config.params.kappa_prime)
-    rows = list(zip(traj.times(), diffs))
-    n_rows = write_csv_atomic(out_path, ["t", "abs_diff"], rows)
+    n_rows = write_csv_atomic(out_path, ["t", "abs_diff"],
+                              zip(traj.times(), diffs.tolist()))
     worst = float(np.max(diffs))
     ok = worst <= ACTION_CHECK_THRESHOLD
     diags = [("max |L - L_alt| at eta = -kappa'",
@@ -456,39 +467,41 @@ def _config_with_sweep_value(config: RunConfig, value: float) -> RunConfig:
         alpha2 = complex(value, alpha2.imag)
     elif key == "alpha2_im":
         alpha2 = complex(alpha2.real, value)
-    thermal = config.thermal
-    if key == "temperature":
-        thermal = ThermalParams(temperature=value, seed=config.thermal.seed)
     return replace(config, scenario="meanfield", params=params,
-                   alpha1=alpha1, alpha2=alpha2, thermal=thermal)
+                   alpha1=alpha1, alpha2=alpha2)
 
 
 def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
+    """Run every point, then write the aggregate; a point or write that
+    raises removes the point files already written before re-raising."""
     values = np.linspace(config.sweep_start, config.sweep_stop,
                          config.sweep_count)
     outputs = []
-    diagnostics = []
-    notes: list[str] = []
     aggregate_rows = []
     all_ok = True
-    for i, value in enumerate(values):
-        point = _config_with_sweep_value(config, float(value))
-        point_path = out_path.with_name(
-            f"{out_path.stem}_{i:03d}{out_path.suffix or '.csv'}")
-        traj = integrate_rk4(_initial_state(point), point.params,
-                             point.t_final, point.dt)
-        n_rows, drift = _write_meanfield_csv(traj, point_path)
-        outputs.append((point_path, n_rows))
-        all_ok = all_ok and drift <= MR_DRIFT_THRESHOLD
-        first, last = traj.samples[0], traj.samples[-1]
-        n1_0, n1_t = abs(first.alpha1) ** 2, abs(last.alpha1) ** 2
-        gain = n1_t / n1_0 if n1_0 > 0 else float("nan")
-        aggregate_rows.append((float(value), n1_t, abs(last.alpha2) ** 2, gain))
-    header = [config.sweep_key, "n1_final", "n2_final", "gain_n1"]
-    n_rows = write_csv_atomic(out_path, header, aggregate_rows)
+    try:
+        for i, value in enumerate(values):
+            point = _config_with_sweep_value(config, float(value))
+            point_path = out_path.with_name(
+                f"{out_path.stem}_{i:03d}{out_path.suffix or '.csv'}")
+            traj = integrate_rk4(_initial_state(point), point.params,
+                                 point.t_final, point.dt)
+            n_rows, drift = _write_meanfield_csv(traj, point_path)
+            outputs.append((point_path, n_rows))
+            all_ok = all_ok and drift <= MR_DRIFT_THRESHOLD
+            (_, a1_0, _), (_, a1_t, a2_t) = traj.samples[[0, -1]].tolist()
+            n1_0, n1_t = abs(a1_0) ** 2, abs(a1_t) ** 2
+            gain = n1_t / n1_0 if n1_0 > 0 else float("nan")
+            aggregate_rows.append((float(value), n1_t, abs(a2_t) ** 2, gain))
+        header = [config.sweep_key, "n1_final", "n2_final", "gain_n1"]
+        n_rows = write_csv_atomic(out_path, header, aggregate_rows)
+    except BaseException:
+        for path, _ in outputs:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     outputs.append((out_path, n_rows))
-    diagnostics.append(("sweep points", str(len(values))))
-    return ScenarioReport(outputs, diagnostics, notes, all_ok)
+    return ScenarioReport(outputs, [("sweep points", str(len(values)))], [], all_ok)
 
 
 _SCENARIO_RUNNERS = {

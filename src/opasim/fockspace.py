@@ -29,6 +29,14 @@ from .errors import ResourceLimitError, TruncationWarning
 #: Default bound on d0*d1*d2, guarding against accidental huge allocations.
 DEFAULT_DIM_CAP = 262144
 
+#: Bound on the samples (steps + 1) of one mean-field trajectory; a CLI
+#: run holds about 200 bytes per sample at its peak.
+TRAJECTORY_SAMPLE_CAP = 5_000_000
+
+#: Bound on (steps + 1) * members of a thermal ensemble, whose two float
+#: buffers hold 16 bytes per member-step.
+ENSEMBLE_MEMBER_STEP_CAP = 50_000_000
+
 #: Largest total dimension for which dense operator matrices are built.
 DENSE_OPERATOR_LIMIT = 4096
 

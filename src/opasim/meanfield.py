@@ -18,8 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError
-from .fockspace import ModeParams
+import numpy as np
+
+from .errors import DivergenceError, ResourceLimitError
+from .fockspace import TRAJECTORY_SAMPLE_CAP, ModeParams
 
 #: Amplitudes beyond this magnitude abort the integration as divergent.
 DIVERGENCE_LIMIT = 1e6
@@ -47,17 +49,25 @@ class MeanFieldState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled mean-field evolution starting at ``t0``."""
+    """Uniformly sampled mean-field evolution starting at ``t0``.
+
+    ``samples`` is an (n+1, 3) complex array; row k holds (alpha0, alpha1,
+    alpha2) at ``t0 + k * dt``.
+    """
 
     t0: float
     dt: float
-    samples: list[MeanFieldState]
+    samples: np.ndarray
 
     def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=complex)
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if len(self.samples) < 2:
+        if samples.ndim != 2 or samples.shape[1] != 3:
+            raise ValueError(f"samples must have shape (n+1, 3), got {samples.shape}")
+        if samples.shape[0] < 2:
             raise ValueError("a trajectory needs at least 2 samples")
+        object.__setattr__(self, "samples", samples)
 
     @property
     def t_final(self) -> float:
@@ -72,21 +82,44 @@ def num_steps(t_final: float, dt: float) -> int:
     return int(math.floor(t_final / dt + _STEP_ROUNDING))
 
 
-def _rhs(a0: complex, a1: complex, a2: complex,
-         w0: float, w1: float, w2: float, kp: complex):
-    return (
-        -1j * w0 * a0 - 1j * kp.conjugate() * a1 * a2,
-        -1j * w1 * a1 - 1j * kp * a0 * a2.conjugate(),
-        -1j * w2 * a2 - 1j * kp * a0 * a1.conjugate(),
-    )
+def rhs_coefficients(params: ModeParams) -> tuple[complex, ...]:
+    """The right-hand side's constant factors, folded once per run.
+
+    (-i w0, -i w1, -i w2, i conj(kappa'), i kappa'): each is the leading
+    product of the unfolded expression ``-1j * w0 * a0 - 1j * conj(kp) *
+    a1 * a2``, so folding it changes no bit of the result.
+    """
+    kp = params.kappa_prime
+    w0, w1, w2 = params.omegas
+    return (-1j * w0, -1j * w1, -1j * w2, 1j * kp.conjugate(), 1j * kp)
+
+
+def _rhs(a0, a1, a2, coeffs):
+    """Mean-field right-hand side; the amplitudes are Python complex
+    numbers or equally shaped complex arrays (one entry per trajectory)."""
+    w0, w1, w2, kc, k = coeffs
+    ka0 = k * a0  # shared leading product of the two daughter terms
+    return (w0 * a0 - kc * a1 * a2,
+            w1 * a1 - ka0 * a2.conjugate(),
+            w2 * a2 - ka0 * a1.conjugate())
+
+
+def rk4_step(a0, a1, a2, dt: float, coeffs):
+    """One classic RK4 step of :func:`_rhs`; returns the new (a0, a1, a2)."""
+    h = 0.5 * dt
+    k10, k11, k12 = _rhs(a0, a1, a2, coeffs)
+    k20, k21, k22 = _rhs(a0 + h * k10, a1 + h * k11, a2 + h * k12, coeffs)
+    k30, k31, k32 = _rhs(a0 + h * k20, a1 + h * k21, a2 + h * k22, coeffs)
+    k40, k41, k42 = _rhs(a0 + dt * k30, a1 + dt * k31, a2 + dt * k32, coeffs)
+    w = dt / 6.0
+    return (a0 + w * (k10 + 2 * k20 + 2 * k30 + k40),
+            a1 + w * (k11 + 2 * k21 + 2 * k31 + k41),
+            a2 + w * (k12 + 2 * k22 + 2 * k32 + k42))
 
 
 def derivatives(s: MeanFieldState, params: ModeParams) -> MeanFieldState:
     """Time-derivative triple of the mean-field equations at state ``s``."""
-    d0, d1, d2 = _rhs(s.alpha0, s.alpha1, s.alpha2,
-                      params.omega0, params.omega1, params.omega2,
-                      params.kappa_prime)
-    return MeanFieldState(d0, d1, d2)
+    return MeanFieldState(*_rhs(*s.as_tuple(), rhs_coefficients(params)))
 
 
 def integrate_rk4(s0: MeanFieldState, params: ModeParams,
@@ -95,36 +128,39 @@ def integrate_rk4(s0: MeanFieldState, params: ModeParams,
 
     The last sample sits at the largest multiple of ``dt`` not exceeding
     ``t_final``.  Raises :class:`DivergenceError` (reporting the time) if
-    any amplitude leaves the divergence guard.
+    any amplitude leaves the divergence guard, and
+    :class:`ResourceLimitError` before integrating if the trajectory
+    would hold more than ``TRAJECTORY_SAMPLE_CAP`` samples.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_final < dt:
         raise ValueError(f"t_final = {t_final} must be at least dt = {dt}")
-
-    w0, w1, w2 = params.omegas
-    kp = params.kappa_prime
-    a0, a1, a2 = s0.as_tuple()
-    samples = [s0]
     steps = num_steps(t_final, dt)
+    if steps + 1 > TRAJECTORY_SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"trajectory of {steps + 1} samples exceeds the cap "
+            f"{TRAJECTORY_SAMPLE_CAP}"
+        )
+
+    coeffs = rhs_coefficients(params)
+    a0, a1, a2 = s0.as_tuple()
+    # one flat list of complex numbers: the garbage collector tracks none
+    # of its entries, which it would for a list of per-step tuples
+    flat = [a0, a1, a2]
+    extend = flat.extend
     for k in range(steps):
-        k1 = _rhs(a0, a1, a2, w0, w1, w2, kp)
-        k2 = _rhs(a0 + 0.5 * dt * k1[0], a1 + 0.5 * dt * k1[1],
-                  a2 + 0.5 * dt * k1[2], w0, w1, w2, kp)
-        k3 = _rhs(a0 + 0.5 * dt * k2[0], a1 + 0.5 * dt * k2[1],
-                  a2 + 0.5 * dt * k2[2], w0, w1, w2, kp)
-        k4 = _rhs(a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
-                  w0, w1, w2, kp)
-        a0 = a0 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        a1 = a1 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        a2 = a2 + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not all(cmath.isfinite(a) and abs(a) < DIVERGENCE_LIMIT
-                   for a in (a0, a1, a2)):
+        a = rk4_step(a0, a1, a2, dt, coeffs)
+        a0, a1, a2 = a
+        # NaN and inf both fail the comparison
+        if not (abs(a0) < DIVERGENCE_LIMIT and abs(a1) < DIVERGENCE_LIMIT
+                and abs(a2) < DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"mean-field amplitudes diverged at t = {(k + 1) * dt:.6g}",
                 time=(k + 1) * dt,
             )
-        samples.append(MeanFieldState(a0, a1, a2))
+        extend(a)
+    samples = np.array(flat, dtype=complex).reshape(steps + 1, 3)
     return Trajectory(t0=0.0, dt=dt, samples=samples)
 
 

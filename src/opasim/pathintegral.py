@@ -70,9 +70,8 @@ class SlicedPath:
 
 def path_from_trajectory(traj: Trajectory, t_a: float = 0.0) -> SlicedPath:
     """Reinterpret a mean-field trajectory as a sliced path skeleton."""
-    labels = np.array([s.as_tuple() for s in traj.samples], dtype=complex)
     span = traj.dt * (len(traj.samples) - 1)
-    return SlicedPath(t_a=t_a, t_b=t_a + span, labels=labels)
+    return SlicedPath(t_a=t_a, t_b=t_a + span, labels=traj.samples)
 
 
 def free_propagator_closed_form(alpha_a: complex, alpha_b: complex,
@@ -287,6 +286,6 @@ def stationary_propagator(alpha_a: Triple, alpha_b: Triple, t: float,
     traj = integrate_rk4(MeanFieldState(*alpha_a), params, t_final=t, dt=dt)
     path = path_from_trajectory(traj)
     value = product_propagator(path, params)
-    achieved = traj.samples[-1].as_tuple()
+    achieved = tuple(traj.samples[-1].tolist())
     return StationaryPropagatorResult(value=value, endpoint=achieved,
                                       requested_endpoint=tuple(alpha_b))

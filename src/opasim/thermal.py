@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
-from .fockspace import ModeParams
-from .meanfield import DIVERGENCE_LIMIT, num_steps
+from .errors import DivergenceError, ResourceLimitError
+from .fockspace import ENSEMBLE_MEMBER_STEP_CAP, ModeParams
+from .meanfield import DIVERGENCE_LIMIT, num_steps, rhs_coefficients, rk4_step
 
 #: Beyond this value of omega/T the occupancy underflows to zero anyway.
 _EXP_ARG_LIMIT = 700.0
@@ -79,24 +79,18 @@ class EnsembleStats:
     n_failures: int
 
 
-def _rhs_batch(a: np.ndarray, omegas: np.ndarray, kp: complex) -> np.ndarray:
-    """Mean-field right-hand side for a (3, N) batch of amplitude columns."""
-    out = np.empty_like(a)
-    out[0] = -1j * omegas[0] * a[0] - 1j * np.conj(kp) * a[1] * a[2]
-    out[1] = -1j * omegas[1] * a[1] - 1j * kp * a[0] * np.conj(a[2])
-    out[2] = -1j * omegas[2] * a[2] - 1j * kp * a[0] * np.conj(a[1])
-    return out
-
-
 def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
                           t_final: float, dt: float,
                           n_samples: int) -> EnsembleStats:
     """Mean-field fluorescence statistics over thermally seeded trajectories.
 
     Every sample starts from (pump_alpha0, thermal draw at omega1, thermal
-    draw at omega2) and is integrated with the same fixed-step RK4 scheme
-    as :func:`opasim.meanfield.integrate_rk4`, batched over the ensemble.
-    Identical master seeds give bit-identical statistics.
+    draw at omega2) and is integrated with the same
+    :func:`opasim.meanfield.rk4_step` as
+    :func:`opasim.meanfield.integrate_rk4`, on one array per mode.
+    Identical master seeds give bit-identical statistics.  Raises
+    :class:`ResourceLimitError` before seeding if the two (steps + 1) x
+    n_samples buffers would exceed ``ENSEMBLE_MEMBER_STEP_CAP`` entries.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -105,37 +99,41 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
     if t_final < dt:
         raise ValueError(f"t_final = {t_final} must be at least dt = {dt}")
 
+    steps = num_steps(t_final, dt)
+    if (steps + 1) * n_samples > ENSEMBLE_MEMBER_STEP_CAP:
+        raise ResourceLimitError(
+            f"ensemble of {n_samples} members x {steps + 1} samples exceeds "
+            f"the cap of {ENSEMBLE_MEMBER_STEP_CAP} member-steps"
+        )
+
     seed_seq = np.random.SeedSequence(thermal.seed)
     children = seed_seq.spawn(n_samples)
-    a = np.empty((3, n_samples), dtype=complex)
-    a[0] = params.pump_alpha0
+    a0 = np.full(n_samples, params.pump_alpha0, dtype=complex)
+    a1 = np.empty(n_samples, dtype=complex)
+    a2 = np.empty(n_samples, dtype=complex)
     for k, child in enumerate(children):
         rng = np.random.default_rng(child)
-        a[1, k] = sample_thermal_amplitude(params.omega1, thermal.temperature, rng)
-        a[2, k] = sample_thermal_amplitude(params.omega2, thermal.temperature, rng)
+        a1[k] = sample_thermal_amplitude(params.omega1, thermal.temperature, rng)
+        a2[k] = sample_thermal_amplitude(params.omega2, thermal.temperature, rng)
 
-    steps = num_steps(t_final, dt)
-    omegas = np.array(params.omegas)
-    kp = params.kappa_prime
-
+    coeffs = rhs_coefficients(params)
     n1 = np.empty((steps + 1, n_samples))
     n2 = np.empty((steps + 1, n_samples))
-    n1[0] = np.abs(a[1]) ** 2
-    n2[0] = np.abs(a[2]) ** 2
+    n1[0] = np.abs(a1) ** 2
+    n2[0] = np.abs(a2) ** 2
     alive = np.ones(n_samples, dtype=bool)
 
     for k in range(steps):
-        k1 = _rhs_batch(a, omegas, kp)
-        k2 = _rhs_batch(a + 0.5 * dt * k1, omegas, kp)
-        k3 = _rhs_batch(a + 0.5 * dt * k2, omegas, kp)
-        k4 = _rhs_batch(a + dt * k3, omegas, kp)
-        a = a + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        bad = ~np.all(np.isfinite(a) & (np.abs(a) < DIVERGENCE_LIMIT), axis=0)
+        a0, a1, a2 = rk4_step(a0, a1, a2, dt, coeffs)
+        # NaN and inf both fail the comparison
+        bad = ~((np.abs(a0) < DIVERGENCE_LIMIT) & (np.abs(a1) < DIVERGENCE_LIMIT)
+                & (np.abs(a2) < DIVERGENCE_LIMIT))
         if np.any(bad & alive):
             alive &= ~bad
-            a[:, bad] = 0.0  # frozen; excluded from the aggregates below
-        n1[k + 1] = np.abs(a[1]) ** 2
-        n2[k + 1] = np.abs(a[2]) ** 2
+            for a in (a0, a1, a2):
+                a[bad] = 0.0  # frozen; excluded from the aggregates below
+        n1[k + 1] = np.abs(a1) ** 2
+        n2[k + 1] = np.abs(a2) ** 2
 
     n_failures = int(n_samples - np.count_nonzero(alive))
     if n_failures == n_samples:

@@ -160,8 +160,8 @@ def test_criterion_04_meanfield_invariants():
         mr0 = np.array(manley_rowe(s0))
         scale = max(abs(mr0[0]), abs(mr0[1]), 1e-12)
         drift = max(
-            np.max(np.abs(np.array(manley_rowe(s)) - mr0))
-            for s in traj.samples[::200]
+            np.max(np.abs(np.array(manley_rowe(MeanFieldState(*row))) - mr0))
+            for row in traj.samples[::200]
         )
         worst_drift = max(worst_drift, drift / scale)
 
@@ -169,7 +169,7 @@ def test_criterion_04_meanfield_invariants():
     s0 = MeanFieldState(2.0, 0.5, 0.3j)
 
     def endpoint(dt):
-        return np.array(integrate_rk4(s0, params, 2.0, dt).samples[-1].as_tuple())
+        return integrate_rk4(s0, params, 2.0, dt).samples[-1]
 
     ref = endpoint(0.02 / 8)
     ratio = (np.linalg.norm(endpoint(0.02) - ref)
@@ -196,13 +196,13 @@ def test_criterion_05_undepleted_pump_consistency():
     max_depletion = 0.0
     for idx in range(200, 2001, 200):
         t = idx * 1e-3
-        rk4 = traj.samples[idx]
-        depletion = abs(1.0 - abs(rk4.alpha0) ** 2 / 100.0 ** 2)
+        rk4_0, rk4_1, rk4_2 = traj.samples[idx]
+        depletion = abs(1.0 - abs(rk4_0) ** 2 / 100.0 ** 2)
         max_depletion = max(max_depletion, depletion)
         a1, a2 = undepleted_pump_solution(b1_0, b2_0, params, t)
         worst = max(worst,
-                    abs(a1 - rk4.alpha1) / abs(rk4.alpha1),
-                    abs(a2 - rk4.alpha2) / abs(rk4.alpha2))
+                    abs(a1 - rk4_1) / abs(rk4_1),
+                    abs(a2 - rk4_2) / abs(rk4_2))
     ok = worst < 1e-3 and max_depletion < 0.01
     assert report(5, "undepleted-pump consistency", ok,
                   f"rel dev {worst:.1e} at depletion <= {max_depletion:.2e}")
@@ -415,7 +415,7 @@ def test_criterion_11_meanfield_quantum_correspondence():
     worst = 0.0
     for k in range(1, len(result.times)):
         idx = round(result.times[k] / 1e-3)
-        mf = abs(traj.samples[idx].alpha1) ** 2
+        mf = abs(traj.samples[idx, 1]) ** 2
         q = result.expectations[k, 1]
         worst = max(worst, abs(q - mf) / mf)
     ok = worst < 0.05

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from opasim.cli import main, parse_config, run
+from opasim.cli import main, parse_config, run, write_csv_atomic
 from opasim.errors import ConfigError, ResourceLimitError
 
 MINIMAL_MEANFIELD = """\
@@ -264,9 +264,14 @@ class TestMainExitCodes:
                      "sweep_stop = 0.4\nsweep_count = 3\n", id="kappa-sweep-start"),
         pytest.param("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\n"
                      "sweep_stop = -0.5\nsweep_count = 3\n", id="kappa-sweep-stop"),
+        # the mean-field points never read the temperature, so it is not
+        # sweepable, whatever the endpoints
         pytest.param("sweep", {}, "sweep_key = temperature\nsweep_start = -1\n"
                      "sweep_stop = 1\nsweep_count = 3\n",
-                     id="temperature-sweep-start"),
+                     id="temperature-sweep-key"),
+        pytest.param("sweep", {}, "sweep_key = temperature\nsweep_start = 0\n"
+                     "sweep_stop = 2\nsweep_count = 3\n",
+                     id="temperature-sweep-valid-endpoints"),
         pytest.param("propagator-convergence", {"t_final = 1.0": "t_final = 0"},
                      "", id="zero-time-path"),
         pytest.param("thermal-ensemble",
@@ -288,8 +293,84 @@ class TestMainExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("scenario,edits,extra", [
+        ("thermal-ensemble", {}, "n_samples = 1000000000\n"),
+        ("meanfield", {"dt = 0.01": "dt = 1e-12"}, ""),
+        ("action-check", {"dt = 0.01": "dt = 1e-12"}, ""),
+        ("sweep", {"dt = 0.01": "dt = 1e-12"}, "sweep_key = kappa\n"
+         "sweep_start = 0.1\nsweep_stop = 0.2\nsweep_count = 2\n"),
+    ], ids=["ensemble-members", "meanfield-steps", "action-check-steps",
+            "sweep-steps"])
+    def test_run_size_cap_exits_4_before_allocating(self, tmp_path, capsys,
+                                                    scenario, edits, extra):
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         f"scenario = {scenario}")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = _write(tmp_path, "big.cfg", text + extra)
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 4
+        assert "resource error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
+
+    def test_failed_sweep_point_leaves_no_artifacts(self, tmp_path, capsys):
+        """The first point succeeds and is written; the last diverges, so
+        the run exits 3 and removes the first point's file."""
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         "scenario = sweep")
+        text += ("sweep_key = kappa\nsweep_start = 0.2\nsweep_stop = 1000\n"
+                 "sweep_count = 2\n")
+        cfg = _write(tmp_path, "sweep.cfg", text)
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 3
+        assert "numeric error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_unwritable_output_exits_5(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.cfg", MINIMAL_MEANFIELD)
         missing_dir = tmp_path / "not" / "there"
         assert main([str(cfg), "--output-dir", str(missing_dir)]) == 5
         assert "i/o error" in capsys.readouterr().err
+
+
+def _fmt(value) -> str:
+    """One CSV field as the writer has always rendered it."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+class TestWriteCsvAtomic:
+    ROWS = [
+        (0.0, -0.0, 1.5, -2.25),
+        (float("inf"), float("-inf"), float("nan"), 5e-324),
+        (1e308, -1e308, 2.2250738585072014e-308, 0.1),
+        (0, -7, 2 ** 70, True),
+        (np.int64(-3), np.uint64(2 ** 64 - 1), np.int32(12), np.int8(-128)),
+        (np.float64(1 / 3), np.float32(0.1), np.float16(65504), np.float64(-0.0)),
+        (3, 0.5, np.int64(4), np.float64(2.5)),
+        (np.float64("nan"), 10 ** 17, 1e17, 123456789012345678),
+    ]
+
+    def test_bytes_match_field_formatter(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        n_rows = write_csv_atomic(path, ["a", "b", "c", "d"], iter(self.ROWS))
+        want = "a,b,c,d\n" + "".join(
+            ",".join(_fmt(v) for v in row) + "\n" for row in self.ROWS)
+        assert n_rows == len(self.ROWS)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_list_rows_and_empty_input(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        assert write_csv_atomic(path, ["n", "x"], [[1, 0.25], [2, -0.0]]) == 2
+        assert path.read_bytes() == b"n,x\n1,0.25\n2,-0\n"
+        assert write_csv_atomic(path, ["n"], []) == 0
+        assert path.read_bytes() == b"n\n"
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        def rows():
+            yield (1.0,)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            write_csv_atomic(tmp_path / "x.csv", ["x"], rows())
+        assert not list(tmp_path.iterdir())

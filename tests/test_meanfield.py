@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opasim.errors import DivergenceError
+from opasim.errors import DivergenceError, ResourceLimitError
 from opasim.fockspace import ModeParams
 from opasim.meanfield import (
     MeanFieldState,
@@ -75,12 +75,11 @@ class TestIntegrateRk4:
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0)
         s0 = MeanFieldState(1.0 + 0.5j, -0.3, 0.7j)
         traj = integrate_rk4(s0, params, 10.0, 1e-3)
-        final = traj.samples[-1]
         t = traj.t_final
         assert t == pytest.approx(10.0, abs=1e-9)
         expected = [a * cmath.exp(-1j * w * t)
                     for a, w in zip(s0.as_tuple(), params.omegas)]
-        for got, want in zip(final.as_tuple(), expected):
+        for got, want in zip(traj.samples[-1], expected):
             assert abs(got - want) < 1e-10
 
     def test_fourth_order_step_halving(self):
@@ -90,8 +89,7 @@ class TestIntegrateRk4:
         t_final = 2.0
 
         def endpoint(step):
-            return np.array(
-                integrate_rk4(s0, PARAMS, t_final, step).samples[-1].as_tuple())
+            return integrate_rk4(s0, PARAMS, t_final, step).samples[-1]
 
         ref = endpoint(dt / 8)
         err_coarse = np.linalg.norm(endpoint(dt) - ref)
@@ -105,8 +103,8 @@ class TestIntegrateRk4:
         mr0 = np.array(manley_rowe(s0))
         scale = max(abs(mr0[0]), abs(mr0[1]))
         worst = max(
-            np.max(np.abs(np.array(manley_rowe(s)) - mr0))
-            for s in traj.samples[::100]
+            np.max(np.abs(np.array(manley_rowe(MeanFieldState(*row))) - mr0))
+            for row in traj.samples[::100]
         )
         assert worst / scale < 1e-8
 
@@ -121,6 +119,10 @@ class TestIntegrateRk4:
         with pytest.raises(DivergenceError) as excinfo:
             integrate_rk4(MeanFieldState(4.0, 2.0, 2.0), params, 100.0, 10.0)
         assert excinfo.value.time is not None
+
+    def test_sample_cap_checked_before_integrating(self):
+        with pytest.raises(ResourceLimitError):
+            integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 1.0, 1e-12)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -178,12 +180,12 @@ class TestUndepletedPump:
                              params, 2.0, 1e-3)
         for idx in (500, 1000, 2000):
             t = idx * 1e-3
-            rk4_state = traj.samples[idx]
-            depletion = abs(1.0 - abs(rk4_state.alpha0) ** 2 / 1e4)
+            rk4_0, rk4_1, rk4_2 = traj.samples[idx]
+            depletion = abs(1.0 - abs(rk4_0) ** 2 / 1e4)
             assert depletion < 0.01
             a1, a2 = undepleted_pump_solution(b1_0, b2_0, params, t)
-            deviation = max(abs(a1 - rk4_state.alpha1) / abs(rk4_state.alpha1),
-                            abs(a2 - rk4_state.alpha2) / abs(rk4_state.alpha2))
+            deviation = max(abs(a1 - rk4_1) / abs(rk4_1),
+                            abs(a2 - rk4_2) / abs(rk4_2))
             assert deviation < 1e-3
             # the error of the linearization is set by the depletion itself
             assert deviation < 10.0 * depletion
@@ -203,27 +205,95 @@ class TestSymmetries:
         mapped = integrate_rk4(
             MeanFieldState(1.5, a1 * phase1, a2 * phase2), PARAMS, 0.2, 0.01)
         for s_base, s_map in zip(base.samples[::5], mapped.samples[::5]):
-            assert cmath.isclose(s_map.alpha0, s_base.alpha0,
+            assert cmath.isclose(s_map[0], s_base[0],
                                  rel_tol=1e-12, abs_tol=1e-12)
-            assert cmath.isclose(s_map.alpha1, s_base.alpha1 * phase1,
+            assert cmath.isclose(s_map[1], s_base[1] * phase1,
                                  rel_tol=1e-12, abs_tol=1e-12)
-            assert cmath.isclose(s_map.alpha2, s_base.alpha2 * phase2,
+            assert cmath.isclose(s_map[2], s_base[2] * phase2,
                                  rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestTrajectoryType:
     def test_uniform_grid_metadata(self):
-        traj = Trajectory(t0=0.0, dt=0.5,
-                          samples=[MeanFieldState(0, 0, 0)] * 5)
+        traj = Trajectory(t0=0.0, dt=0.5, samples=np.zeros((5, 3), dtype=complex))
         assert traj.t_final == 2.0
         assert traj.times() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Trajectory(t0=0.0, dt=-0.1, samples=[MeanFieldState(0, 0, 0)] * 3)
+            Trajectory(t0=0.0, dt=-0.1, samples=np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            Trajectory(t0=0.0, dt=0.1, samples=[MeanFieldState(0, 0, 0)])
+            Trajectory(t0=0.0, dt=0.1, samples=np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            Trajectory(t0=0.0, dt=0.1, samples=np.zeros((4, 2)))
+
+    def test_integrated_samples_are_one_complex_array(self):
+        traj = integrate_rk4(MeanFieldState(1.0, 0.5j, 0.0), PARAMS, 0.05, 0.01)
+        assert traj.samples.shape == (6, 3)
+        assert traj.samples.dtype == complex
+        assert traj.samples[0].tolist() == [1.0, 0.5j, 0.0]
 
     def test_state_requires_finite_amplitudes(self):
         with pytest.raises(ValueError):
             MeanFieldState(float("inf"), 0.0, 0.0)
+
+
+def unfolded_rk4(s0, params, t_final, dt):
+    """RK4 written out with the unfolded right-hand side, one step per loop.
+
+    Every constant is multiplied in place (``-1j * w0 * a0``,
+    ``1j * conj(kp) * a1 * a2``), so this pins the folded coefficients and
+    the shared step of :func:`integrate_rk4` to the same bits.
+    """
+    w0, w1, w2 = params.omegas
+    kp = params.kappa_prime
+
+    def rhs(a0, a1, a2):
+        return (
+            -1j * w0 * a0 - 1j * kp.conjugate() * a1 * a2,
+            -1j * w1 * a1 - 1j * kp * a0 * a2.conjugate(),
+            -1j * w2 * a2 - 1j * kp * a0 * a1.conjugate(),
+        )
+
+    a0, a1, a2 = s0.as_tuple()
+    samples = [(a0, a1, a2)]
+    for _ in range(round(t_final / dt)):
+        k1 = rhs(a0, a1, a2)
+        k2 = rhs(a0 + 0.5 * dt * k1[0], a1 + 0.5 * dt * k1[1],
+                 a2 + 0.5 * dt * k1[2])
+        k3 = rhs(a0 + 0.5 * dt * k2[0], a1 + 0.5 * dt * k2[1],
+                 a2 + 0.5 * dt * k2[2])
+        k4 = rhs(a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2])
+        a0 = a0 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        a1 = a1 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        a2 = a2 + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        samples.append((a0, a1, a2))
+    return np.array(samples, dtype=complex)
+
+
+class TestBitIdentity:
+    """The folded, shared RK4 step changes no bit of a trajectory."""
+
+    @pytest.mark.parametrize("s0,params", [
+        (MeanFieldState(2.0 - 0.7j, 0.4 + 0.1j, -0.3j), PARAMS),
+        (MeanFieldState(1.5, 0.2, 0.6j), ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3)),
+        # the pump-only fixed point: the daughters stay at (signed) zero
+        (MeanFieldState(2.5 - 1.0j, 0j, -0j), PARAMS),
+        (MeanFieldState(-1.0j, 0.0, 0.0), ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0)),
+    ], ids=["generic", "generic-phi0", "fixed-point", "fixed-point-free"])
+    def test_matches_unfolded_reference(self, s0, params):
+        got = integrate_rk4(s0, params, 2.0, 1e-3).samples
+        want = unfolded_rk4(s0, params, 2.0, 1e-3)
+        assert got.shape == want.shape
+        assert np.all(got == want)
+        # == cannot tell -0.0 from 0.0, and the CSVs can
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
+
+    def test_derivatives_match_unfolded_rhs(self):
+        s = MeanFieldState(0.3 - 1.1j, -0.7 + 0.2j, 0.5j)
+        kp = PARAMS.kappa_prime
+        want = (-1j * PARAMS.omega0 * s.alpha0 - 1j * kp.conjugate() * s.alpha1 * s.alpha2,
+                -1j * PARAMS.omega1 * s.alpha1 - 1j * kp * s.alpha0 * s.alpha2.conjugate(),
+                -1j * PARAMS.omega2 * s.alpha2 - 1j * kp * s.alpha0 * s.alpha1.conjugate())
+        assert derivatives(s, PARAMS).as_tuple() == want
