@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 import tempfile
@@ -33,7 +34,7 @@ from .pathintegral import (
     path_from_trajectory,
     product_propagator,
 )
-from .quantum import evolve_state, fluorescence_from_vacuum, system_hamiltonian
+from .quantum import evolve_state, system_hamiltonian
 from .thermal import ThermalParams, fluorescence_ensemble
 
 SCENARIOS = (
@@ -70,6 +71,13 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"expected 'true' or 'false', got {raw!r}") from None
 
 
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _parse_scenario(raw: str) -> str:
     if raw not in SCENARIOS:
         raise ValueError(f"expected one of {', '.join(SCENARIOS)}")
@@ -79,30 +87,30 @@ def _parse_scenario(raw: str) -> str:
 #: key -> (caster, default); _REQUIRED defaults are scenario-dependent.
 _KEY_SPECS: dict = {
     "scenario": (_parse_scenario, _REQUIRED),
-    "omega0": (float, 2.0),
-    "omega1": (float, 1.0),
-    "omega2": (float, 1.0),
-    "kappa": (float, 0.1),
-    "phi": (float, 0.0),
-    "alpha0_re": (float, 0.0),
-    "alpha0_im": (float, 0.0),
-    "alpha1_re": (float, 0.0),
-    "alpha1_im": (float, 0.0),
-    "alpha2_re": (float, 0.0),
-    "alpha2_im": (float, 0.0),
+    "omega0": (_parse_finite, 2.0),
+    "omega1": (_parse_finite, 1.0),
+    "omega2": (_parse_finite, 1.0),
+    "kappa": (_parse_finite, 0.1),
+    "phi": (_parse_finite, 0.0),
+    "alpha0_re": (_parse_finite, 0.0),
+    "alpha0_im": (_parse_finite, 0.0),
+    "alpha1_re": (_parse_finite, 0.0),
+    "alpha1_im": (_parse_finite, 0.0),
+    "alpha2_re": (_parse_finite, 0.0),
+    "alpha2_im": (_parse_finite, 0.0),
     "d0": (int, 8),
     "d1": (int, 8),
     "d2": (int, 8),
-    "t_final": (float, None),
-    "dt": (float, None),
+    "t_final": (_parse_finite, None),
+    "dt": (_parse_finite, None),
     "n_slices": (int, 4096),
     "n_samples": (int, 100),
-    "temperature": (float, 0.0),
+    "temperature": (_parse_finite, 0.0),
     "seed": (int, 0),
     "include_zero_point": (_parse_bool, False),
     "sweep_key": (str, None),
-    "sweep_start": (float, None),
-    "sweep_stop": (float, None),
+    "sweep_start": (_parse_finite, None),
+    "sweep_stop": (_parse_finite, None),
     "sweep_count": (int, None),
     "output": (str, None),
 }
@@ -232,9 +240,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"t_final must be > 0 to slice a path; set by {_lines_of('t_final')}"
         )
-    needs_steps = scenario in ("meanfield", "fluorescence", "thermal-ensemble",
-                               "action-check", "sweep")
-    if needs_steps and values["t_final"] < values["dt"]:
+    if "dt" in _SCENARIO_REQUIRES[scenario] and values["t_final"] < values["dt"]:
         raise ConfigError(
             f"t_final must be at least dt; set by {_lines_of('t_final', 'dt')}"
         )
@@ -361,14 +367,6 @@ def _run_meanfield(config: RunConfig, out_path: Path) -> ScenarioReport:
     return ScenarioReport([(out_path, n_rows)], diags, [], ok)
 
 
-def _quantum_rows(result) -> list[tuple]:
-    return [
-        (t, e[0], e[1], e[2], nd, en)
-        for t, e, nd, en in zip(result.times, result.expectations,
-                                result.norm_deviations, result.energies)
-    ]
-
-
 def _run_quantum(config: RunConfig, out_path: Path) -> ScenarioReport:
     steps = num_steps(config.t_final, config.dt)
     h = system_hamiltonian(config.params, config.dims)
@@ -376,20 +374,10 @@ def _run_quantum(config: RunConfig, out_path: Path) -> ScenarioReport:
                                   config.alpha2, config.dims)
     result = evolve_state(h, psi0, steps * config.dt, steps + 1,
                           dims=config.dims)
+    rows = zip(result.times, *result.expectations.T, result.norm_deviations,
+               result.energies)
     header = ["t", "n0", "n1", "n2", "norm_dev", "energy"]
-    n_rows = write_csv_atomic(out_path, header, _quantum_rows(result))
-    ok = result.max_norm_deviation <= NORM_DEV_THRESHOLD
-    diags = [("max norm deviation",
-              f"{result.max_norm_deviation:.3e} (threshold {NORM_DEV_THRESHOLD:g})")]
-    return ScenarioReport([(out_path, n_rows)], diags, list(result.warnings), ok)
-
-
-def _run_fluorescence(config: RunConfig, out_path: Path) -> ScenarioReport:
-    steps = num_steps(config.t_final, config.dt)
-    result = fluorescence_from_vacuum(config.params, config.dims,
-                                      steps * config.dt, steps + 1)
-    header = ["t", "n0", "n1", "n2", "norm_dev", "energy"]
-    n_rows = write_csv_atomic(out_path, header, _quantum_rows(result))
+    n_rows = write_csv_atomic(out_path, header, rows)
     ok = result.max_norm_deviation <= NORM_DEV_THRESHOLD
     diags = [("max norm deviation",
               f"{result.max_norm_deviation:.3e} (threshold {NORM_DEV_THRESHOLD:g})")]
@@ -446,29 +434,17 @@ def _run_thermal_ensemble(config: RunConfig, out_path: Path) -> ScenarioReport:
 
 
 def _config_with_sweep_value(config: RunConfig, value: float) -> RunConfig:
-    key = config.sweep_key
-    p = config.params
-    if key == "kappa":
-        params = replace(p, kappa_mag=value)
-    elif key == "phi":
-        params = replace(p, phi=value)
-    elif key == "alpha0_re":
-        params = replace(p, pump_alpha0=complex(value, p.pump_alpha0.imag))
-    elif key == "alpha0_im":
-        params = replace(p, pump_alpha0=complex(p.pump_alpha0.real, value))
-    else:
-        params = p
-    alpha1, alpha2 = config.alpha1, config.alpha2
-    if key == "alpha1_re":
-        alpha1 = complex(value, alpha1.imag)
-    elif key == "alpha1_im":
-        alpha1 = complex(alpha1.real, value)
-    elif key == "alpha2_re":
-        alpha2 = complex(value, alpha2.imag)
-    elif key == "alpha2_im":
-        alpha2 = complex(alpha2.real, value)
+    """The mean-field run of one sweep point: ``config`` with its sweep key
+    set to ``value``."""
+    p, a1, a2 = config.params, config.alpha1, config.alpha2
+    current = (p.kappa_mag, p.phi, p.pump_alpha0.real, p.pump_alpha0.imag,
+               a1.real, a1.imag, a2.real, a2.imag)
+    v = dict(zip(SWEEPABLE_KEYS, current)) | {config.sweep_key: value}
+    params = replace(p, kappa_mag=v["kappa"], phi=v["phi"],
+                     pump_alpha0=complex(v["alpha0_re"], v["alpha0_im"]))
     return replace(config, scenario="meanfield", params=params,
-                   alpha1=alpha1, alpha2=alpha2)
+                   alpha1=complex(v["alpha1_re"], v["alpha1_im"]),
+                   alpha2=complex(v["alpha2_re"], v["alpha2_im"]))
 
 
 def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
@@ -507,7 +483,9 @@ def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
 _SCENARIO_RUNNERS = {
     "meanfield": _run_meanfield,
     "quantum": _run_quantum,
-    "fluorescence": _run_fluorescence,
+    # fluorescence is the quantum run from vacuum signal and idler
+    "fluorescence": lambda config, out_path: _run_quantum(
+        replace(config, alpha1=0j, alpha2=0j), out_path),
     "propagator-convergence": _run_propagator_convergence,
     "action-check": _run_action_check,
     "thermal-ensemble": _run_thermal_ensemble,
@@ -566,7 +544,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
+    except (DivergenceError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except ResourceLimitError as exc:

@@ -37,6 +37,10 @@ TRAJECTORY_SAMPLE_CAP = 5_000_000
 #: buffers hold 16 bytes per member-step.
 ENSEMBLE_MEMBER_STEP_CAP = 50_000_000
 
+#: Bound on samples * d0*d1*d2 of one exact evolution, whose state array
+#: holds 16 bytes per entry (a CLI run peaks at about 25 bytes per entry).
+STATE_SAMPLE_CAP = 20_000_000
+
 #: Largest total dimension for which dense operator matrices are built.
 DENSE_OPERATOR_LIMIT = 4096
 

@@ -78,8 +78,12 @@ class Trajectory:
 
 
 def num_steps(t_final: float, dt: float) -> int:
-    """Whole steps of size dt fitting into t_final (rounding-tolerant)."""
-    return int(math.floor(t_final / dt + _STEP_ROUNDING))
+    """Whole steps of size dt fitting into t_final (rounding-tolerant); a
+    count that overflows a float exceeds every cap (:class:`ResourceLimitError`)."""
+    ratio = t_final / dt
+    if math.isinf(ratio):
+        raise ResourceLimitError(f"t_final / dt = {t_final} / {dt} overflows")
+    return int(math.floor(ratio + _STEP_ROUNDING))
 
 
 def rhs_coefficients(params: ModeParams) -> tuple[complex, ...]:

@@ -98,47 +98,13 @@ def free_mode_path(alpha: complex, omega: float, t: float, n: int,
     return SlicedPath(t_a=0.0, t_b=t, labels=labels)
 
 
-def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """Three-mode coherent overlap <bra|ket> of fully quantum labels."""
-    exponent = np.sum(-0.5 * np.abs(bra) ** 2 - 0.5 * np.abs(ket) ** 2
-                      + np.conj(bra) * ket)
-    return complex(np.exp(exponent))
+def _slice_kernels(labels: np.ndarray, eta: float, params: ModeParams) -> np.ndarray:
+    """Kernels <next| (1 - i eta H) |prev> between consecutive label rows.
 
-
-def _mixed_hamiltonian(nxt: np.ndarray, prv: np.ndarray, params: ModeParams) -> complex:
-    """Normal-ordered Hamiltonian with bras from ``nxt`` and kets from ``prv``."""
-    kp = params.kappa_prime
-    free = (params.omega0 * np.conj(nxt[0]) * prv[0]
-            + params.omega1 * np.conj(nxt[1]) * prv[1]
-            + params.omega2 * np.conj(nxt[2]) * prv[2])
-    interaction = (kp * prv[0] * np.conj(nxt[1]) * np.conj(nxt[2])
-                   + np.conj(kp) * np.conj(nxt[0]) * prv[1] * prv[2])
-    return complex(free + interaction)
-
-
-def slice_kernel(prev: Triple, next: Triple, eta: float,
-                 params: ModeParams) -> complex:
-    """Short-time kernel <next| (1 - i eta H) |prev> between coherent labels."""
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    w_max = max(abs(w) for w in params.omegas)
-    if eta * w_max > KERNEL_STEP_LIMIT:
-        warnings.warn(
-            f"slice step eta*omega = {eta * w_max:.3g} exceeds "
-            f"{KERNEL_STEP_LIMIT}; the linearized kernel is inaccurate",
-            CoarseStepWarning, stacklevel=2,
-        )
-    prv = np.asarray(prev, dtype=complex)
-    nxt = np.asarray(next, dtype=complex)
-    return _overlap(nxt, prv) * (1.0 - 1j * eta * _mixed_hamiltonian(nxt, prv, params))
-
-
-def _slice_kernels(path: SlicedPath, params: ModeParams) -> np.ndarray:
-    """All slice kernels of a path at once (vectorized over slices)."""
-    prv = path.labels[:-1]
-    nxt = path.labels[1:]
-    eta = path.eta
-
+    ``labels`` has shape (n+1, 3); kernel j links row j (ket) to row j+1
+    (bra).  Warns with :class:`CoarseStepWarning` at the caller of the
+    public entry point when eta * max(omega) exceeds ``KERNEL_STEP_LIMIT``.
+    """
     w_max = max(abs(w) for w in params.omegas)
     if eta * w_max > KERNEL_STEP_LIMIT:
         warnings.warn(
@@ -146,7 +112,8 @@ def _slice_kernels(path: SlicedPath, params: ModeParams) -> np.ndarray:
             f"{KERNEL_STEP_LIMIT}; the linearized kernel is inaccurate",
             CoarseStepWarning, stacklevel=3,
         )
-
+    prv = labels[:-1]
+    nxt = labels[1:]
     overlap_exp = np.sum(-0.5 * np.abs(nxt) ** 2 - 0.5 * np.abs(prv) ** 2
                          + np.conj(nxt) * prv, axis=1)
     kp = params.kappa_prime
@@ -158,27 +125,37 @@ def _slice_kernels(path: SlicedPath, params: ModeParams) -> np.ndarray:
     return np.exp(overlap_exp) * (1.0 - 1j * eta * h)
 
 
+def slice_kernel(prev: Triple, next: Triple, eta: float,
+                 params: ModeParams) -> complex:
+    """Short-time kernel <next| (1 - i eta H) |prev> between coherent labels."""
+    if eta <= 0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    labels = np.array([prev, next], dtype=complex)
+    return complex(_slice_kernels(labels, eta, params)[0])
+
+
 def product_propagator(path: SlicedPath, params: ModeParams) -> complex:
     """Product of all slice kernels along the path, in slice order.
 
     Raises :class:`DivergenceError` when the running log-magnitude of the
-    product leaves the floating-point-safe window.
+    product leaves the floating-point-safe window, at the first slice
+    where it does.
     """
-    kernels = _slice_kernels(path, params)
-    product = 1.0 + 0.0j
-    log_mag = 0.0
-    for k in kernels:
-        mag = abs(k)
-        if mag == 0.0:
+    kernels = _slice_kernels(path.labels, path.eta, params)
+    magnitudes = np.abs(kernels)
+    # a vanished kernel gives log 0 = -inf, reported below, not warned
+    with np.errstate(divide="ignore"):
+        log_mag = np.cumsum(np.log(magnitudes))
+    outside = np.flatnonzero(np.abs(log_mag) > LOG_OVERFLOW_LIMIT)
+    if outside.size:
+        first = outside[0]
+        if magnitudes[first] == 0.0:
             raise DivergenceError("slice product vanished (|log K| overflow)")
-        log_mag += np.log(mag)
-        if abs(log_mag) > LOG_OVERFLOW_LIMIT:
-            raise DivergenceError(
-                f"slice product log-magnitude {log_mag:.3g} exceeds "
-                f"{LOG_OVERFLOW_LIMIT}"
-            )
-        product *= k
-    return complex(product)
+        raise DivergenceError(
+            f"slice product log-magnitude {log_mag[first]:.3g} exceeds "
+            f"{LOG_OVERFLOW_LIMIT}"
+        )
+    return complex(np.multiply.reduce(kernels))
 
 
 def _time_derivatives(labels: np.ndarray, dt: float) -> np.ndarray:

@@ -21,10 +21,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ResourceLimitError
 from .fockspace import (
+    STATE_SAMPLE_CAP,
     ModeParams,
     TruncationDims,
+    coherent_amplitudes,
     coherent_state,
     occupation_arrays,
     product_coherent_state,
@@ -224,6 +226,8 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
     occupation expectations and the top-level population are recorded,
     and truncation-boundary leakage is monitored (population of any top
     Fock level above ``LEAKAGE_TOL`` attaches a warning to the result).
+    Raises :class:`ResourceLimitError` before allocating if the samples
+    would hold more than ``STATE_SAMPLE_CAP`` state entries.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if t_final < 0:
@@ -237,6 +241,11 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
     if dims is not None and dims.total != psi0.shape[0]:
         raise ValueError(
             f"dims.total = {dims.total} does not match state length {psi0.shape[0]}"
+        )
+    if n_samples * psi0.shape[0] > STATE_SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"{n_samples} samples of {psi0.shape[0]} states exceed the cap of "
+            f"{STATE_SAMPLE_CAP} state entries"
         )
     times = np.linspace(0.0, t_final, n_samples)
     if isinstance(h, SectorHamiltonian):
@@ -319,15 +328,6 @@ def single_mode_propagator(omega: float, alpha_a: complex, alpha_b: complex,
     return complex(np.vdot(cb, phases * ca))
 
 
-def _coherent_grid(betas: np.ndarray, d: int) -> np.ndarray:
-    """Raw truncated coherent amplitudes, one row per grid label."""
-    c = np.zeros((betas.shape[0], d), dtype=complex)
-    c[:, 0] = np.exp(-0.5 * np.abs(betas) ** 2)
-    for n in range(1, d):
-        c[:, n] = c[:, n - 1] * betas / np.sqrt(n)
-    return c
-
-
 def chain_rule_compose(omega: float, alpha_a: complex, alpha_b: complex,
                        t: float, d: int, grid_points: int = 41,
                        grid_radius: float = 4.0) -> complex:
@@ -345,7 +345,7 @@ def chain_rule_compose(omega: float, alpha_a: complex, alpha_b: complex,
     xs = np.linspace(-grid_radius, grid_radius, grid_points)
     step = xs[1] - xs[0]
     betas = (xs[:, None] + 1j * xs[None, :]).ravel()
-    grid = _coherent_grid(betas, d)
+    grid = np.array([coherent_amplitudes(beta, d) for beta in betas])
 
     half_phases = np.exp(-1j * omega * np.arange(d) * t / 2.0)
     ca = coherent_state(alpha_a, d)

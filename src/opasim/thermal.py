@@ -34,6 +34,8 @@ class ThermalParams:
         if not (self.temperature >= 0 and math.isfinite(self.temperature)):
             raise ValueError(f"temperature must be finite and >= 0, "
                              f"got {self.temperature}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def mean_occupancy(omega: float, temperature: float) -> float:

@@ -1,9 +1,23 @@
 """Configuration parsing, scenario dispatch, CSV contracts and exit codes."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opasim.cli import main, parse_config, run, write_csv_atomic
+from opasim.cli import (
+    SCENARIOS,
+    SWEEPABLE_KEYS,
+    main,
+    parse_config,
+    run,
+    write_csv_atomic,
+)
 from opasim.errors import ConfigError, ResourceLimitError
 
 MINIMAL_MEANFIELD = """\
@@ -149,6 +163,39 @@ class TestScenarios:
         assert first.count(b"\n") == 102  # header + floor(t_final/dt) + 1 rows
         assert first == second
 
+    def test_fluorescence_is_quantum_from_vacuum(self, tmp_path):
+        """fluorescence ignores alpha1/alpha2; quantum with both zero writes
+        the same bytes."""
+        extra = "phi = -1.1\nd0 = 12\nd1 = 6\nd2 = 6\nalpha2_im = 0.2\n"
+        fluorescence = MINIMAL_MEANFIELD.replace(
+            "scenario = meanfield", "scenario = fluorescence") + extra
+        quantum = MINIMAL_MEANFIELD.replace(
+            "scenario = meanfield", "scenario = quantum").replace(
+            "alpha1_re = 0.3", "alpha1_re = 0") + extra.replace("0.2", "0")
+        for name, text in (("fluorescence", fluorescence), ("quantum", quantum)):
+            cfg = _write(tmp_path, f"{name}.cfg", text + f"output = {name}.csv\n")
+            assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        assert ((tmp_path / "fluorescence.csv").read_bytes()
+                == (tmp_path / "quantum.csv").read_bytes())
+
+    @pytest.mark.parametrize("key", SWEEPABLE_KEYS)
+    def test_sweep_point_is_the_meanfield_run_with_its_key_set(self, tmp_path, key):
+        """A one-point sweep writes the bytes of the meanfield run whose
+        sweep key holds the point's value, every other key unchanged."""
+        values = dict(zip(SWEEPABLE_KEYS, (0.2, 0.3, 2.0, -0.5, 0.3, 0.1, -0.2, 0.4)))
+        common = "omega0 = 2.0\nomega1 = 1.2\nomega2 = 0.8\nt_final = 1.0\ndt = 0.01\n"
+        single = common + "scenario = meanfield\n" + "".join(
+            f"{k} = {0.25 if k == key else v}\n" for k, v in values.items())
+        sweep = common + "scenario = sweep\noutput = sweep.csv\n" + "".join(
+            f"{k} = {v}\n" for k, v in values.items()) + (
+            f"sweep_key = {key}\nsweep_start = 0.25\nsweep_stop = 0.25\n"
+            "sweep_count = 1\n")
+        for name, text in (("single", single), ("sweep", sweep)):
+            cfg = _write(tmp_path, f"{name}.cfg", text)
+            assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        assert ((tmp_path / "sweep_000.csv").read_bytes()
+                == (tmp_path / "meanfield.csv").read_bytes())
+
     def test_propagator_convergence_table_decreases(self, tmp_path):
         text = (
             "scenario = propagator-convergence\n"
@@ -249,6 +296,19 @@ class TestMainExitCodes:
         assert main([str(cfg), "--output-dir", str(tmp_path)]) == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,old,new", [
+        ("quantum", "alpha1_re = 0.3", "alpha1_re = 1e200"),
+        ("propagator-convergence", "alpha0_re = 2.0", "alpha0_re = 1e300"),
+    ], ids=["quantum-coherent-weight", "closed-form-weight"])
+    def test_arithmetic_overflow_exits_3(self, tmp_path, capsys, scenario, old, new):
+        """|alpha|^2 overflows a float: a numeric error, not a traceback."""
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         f"scenario = {scenario}")
+        cfg = _write(tmp_path, "big.cfg", text.replace(old, new))
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 3
+        assert "numeric error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_resource_cap_exits_4(self, tmp_path, capsys):
         cfg = _write(tmp_path, "big.cfg",
                      MINIMAL_MEANFIELD + "d0 = 100\nd1 = 100\nd2 = 100\n")
@@ -280,6 +340,23 @@ class TestMainExitCodes:
         pytest.param("meanfield",
                      {"omega0 = 2.0": "omega0 = -0.4", "omega1 = 1.2": "omega1 = -1.2"},
                      "", id="negative-frequency"),
+        *(pytest.param(scenario, {"dt = 0.01": "dt = nan"}, "",
+                       id=f"{scenario}-nan-step")
+          for scenario in ("meanfield", "quantum", "thermal-ensemble")),
+        pytest.param("meanfield", {"t_final = 1.0": "t_final = inf"}, "",
+                     id="infinite-time"),
+        pytest.param("meanfield", {"alpha1_re = 0.3": "alpha1_re = nan"}, "",
+                     id="meanfield-nan-amplitude"),
+        pytest.param("quantum", {"alpha1_re = 0.3": "alpha1_re = nan"}, "",
+                     id="quantum-nan-amplitude"),
+        pytest.param("propagator-convergence", {"t_final = 1.0": "t_final = nan"},
+                     "", id="nan-path-time"),
+        pytest.param("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\n"
+                     "sweep_stop = -inf\nsweep_count = 3\n", id="infinite-sweep-stop"),
+        pytest.param("quantum", {"t_final = 1.0": "t_final = 0.01",
+                                 "dt = 0.01": "dt = 0.05"},
+                     "", id="quantum-time-below-step"),
+        pytest.param("thermal-ensemble", {}, "seed = -1\n", id="negative-seed"),
     ])
     def test_invalid_run_values_exit_2(self, tmp_path, capsys, scenario, edits,
                                        extra):
@@ -299,8 +376,13 @@ class TestMainExitCodes:
         ("action-check", {"dt = 0.01": "dt = 1e-12"}, ""),
         ("sweep", {"dt = 0.01": "dt = 1e-12"}, "sweep_key = kappa\n"
          "sweep_start = 0.1\nsweep_stop = 0.2\nsweep_count = 2\n"),
+        ("quantum", {"dt = 0.01": "dt = 1e-12"}, ""),
+        ("fluorescence", {"dt = 0.01": "dt = 1e-12"}, ""),
+        ("quantum", {"dt = 0.01": "dt = 5e-324"}, ""),
+        ("thermal-ensemble", {"dt = 0.01": "dt = 5e-324"}, ""),
     ], ids=["ensemble-members", "meanfield-steps", "action-check-steps",
-            "sweep-steps"])
+            "sweep-steps", "quantum-steps", "fluorescence-steps",
+            "quantum-step-count-overflow", "ensemble-step-count-overflow"])
     def test_run_size_cap_exits_4_before_allocating(self, tmp_path, capsys,
                                                     scenario, edits, extra):
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
@@ -374,3 +456,71 @@ class TestWriteCsvAtomic:
         with pytest.raises(RuntimeError):
             write_csv_atomic(tmp_path / "x.csv", ["x"], rows())
         assert not list(tmp_path.iterdir())
+
+
+#: Values that keep a valid run small: dims <= 6, <= 10^3 steps, <= 16
+#: ensemble members, <= 3 sweep points.  Outputs stay relative, inside
+#: the run's temporary output directory.
+_SMALL_VALUES = {
+    "omega0": ["2"], "omega1": ["1"], "omega2": ["1"],
+    "kappa": ["0", "0.1", "0.5"], "phi": ["0", "0.7", "-2"],
+    **{f"alpha{j}_{part}": ["0", "0.3", "-1.5"]
+       for j in range(3) for part in ("re", "im")},
+    "d0": ["2", "4", "6"], "d1": ["2", "5"], "d2": ["3", "6"],
+    "t_final": ["0.05", "0.5", "1"], "dt": ["0.001", "0.01", "0.05"],
+    "n_slices": ["1", "64", "300"], "n_samples": ["1", "4", "16"],
+    "temperature": ["0", "1"], "seed": ["0", "7"],
+    "include_zero_point": ["true", "false"],
+    "sweep_key": [*SWEEPABLE_KEYS, "temperature"],
+    "sweep_start": ["0", "0.2"], "sweep_stop": ["0.4", "1"],
+    "sweep_count": ["1", "3"], "output": ["run.csv", "missing/run.csv"],
+}
+
+#: Huge values, for every key but sweep_count: the sweep allocates its
+#: grid of points before any check.
+_HUGE = ["1e300", "1" + "0" * 30]
+
+#: Bad values for every key.
+_BAD_VALUES = ["nan", "inf", "-inf", "-3", "0", "x", "1.5.2", ""]
+
+#: Stray lines: unknown key, missing '=', empty key, empty value,
+#: duplicate key, comment, blank.
+_STRAY_LINES = ["omega_x = 1", "kappa 0.1", "= 3", "t_final =",
+                "kappa = 0.1", "# note", ""]
+
+
+@st.composite
+def config_texts(draw):
+    """Config texts over the key grammar: a small run of any scenario with
+    at most one kind of fault (bad values, a missing key, stray lines)."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    keys = ["t_final", "dt", "d0", "d1", "d2"]
+    if scenario == "sweep":
+        keys += ["sweep_key", "sweep_start", "sweep_stop", "sweep_count"]
+    keys += draw(st.lists(st.sampled_from(sorted(set(_SMALL_VALUES) - set(keys))),
+                          unique=True, max_size=6))
+    entries = {"scenario": scenario}
+    entries |= {key: draw(st.sampled_from(_SMALL_VALUES[key])) for key in keys}
+    fault = draw(st.sampled_from(["none", "value", "values", "missing", "stray"]))
+    if fault in ("value", "values"):
+        count = 1 if fault == "value" else 2
+        for key in draw(st.lists(st.sampled_from([*keys, "scenario"]), unique=True,
+                                 min_size=count, max_size=count)):
+            bad = (_HUGE if key != "sweep_count" else []) + _BAD_VALUES
+            entries[key] = draw(st.sampled_from(bad))
+    elif fault == "missing":
+        del entries[draw(st.sampled_from([*keys, "scenario"]))]
+    lines = [f"{key} = {value}" for key, value in entries.items()]
+    if fault == "stray":
+        lines += draw(st.lists(st.sampled_from(_STRAY_LINES), min_size=1, max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(text=config_texts())
+def test_every_config_ends_in_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as out_dir:
+        cfg = _write(Path(out_dir), "run.cfg", text)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(cfg), "--output-dir", out_dir, "--quiet"])
+    assert code in (0, 2, 3, 4, 5), text

@@ -123,6 +123,9 @@ class TestIntegrateRk4:
     def test_sample_cap_checked_before_integrating(self):
         with pytest.raises(ResourceLimitError):
             integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 1.0, 1e-12)
+        # t_final / dt overflows to inf: more steps than any cap allows
+        with pytest.raises(ResourceLimitError):
+            integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 1.0, 5e-324)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from opasim.errors import CoarseStepWarning, DivergenceError
 from opasim.fockspace import ModeParams, TruncationDims
 from opasim.meanfield import MeanFieldState, integrate_rk4
 from opasim.pathintegral import (
+    LOG_OVERFLOW_LIMIT,
     SlicedPath,
+    _slice_kernels,
     action_equivalence_check,
     classical_action,
     free_mode_path,
@@ -35,6 +37,31 @@ def random_path(rng, n, scale=0.8, t_b=1.0):
     labels = scale * (rng.normal(size=(n + 1, 3))
                       + 1j * rng.normal(size=(n + 1, 3)))
     return SlicedPath(t_a=0.0, t_b=t_b, labels=labels)
+
+
+def looped_product(path, params):
+    """The slice product as a per-slice loop with a running log-magnitude
+    guard: the reference for the vectorised product."""
+    product = 1.0 + 0.0j
+    log_mag = 0.0
+    for k in _slice_kernels(path.labels, path.eta, params):
+        mag = abs(k)
+        if mag == 0.0:
+            raise DivergenceError("slice product vanished")
+        log_mag += np.log(mag)
+        if abs(log_mag) > LOG_OVERFLOW_LIMIT:
+            raise DivergenceError("slice product log-magnitude overflow")
+        product *= k
+    return complex(product)
+
+
+def alternating_path(n, eta=1e-3):
+    """Labels +a, -a, +a, ... with |a|^2 = 0.5: every slice's overlap is
+    e^{-|2a|^2 / 2} = e^{-1}, so the product's log-magnitude falls by
+    about 1 per slice."""
+    a = np.array([0.5, 0.5j, 0.0])
+    signs = (-1.0) ** np.arange(n + 1)
+    return SlicedPath(0.0, n * eta, signs[:, None] * a)
 
 
 class TestSliceKernel:
@@ -71,6 +98,14 @@ class TestSliceKernel:
         with pytest.warns(CoarseStepWarning):
             slice_kernel((0.1, 0, 0), (0.1, 0, 0), 0.2, PARAMS)
 
+    def test_coarse_step_warning_names_the_caller(self):
+        """Both entry points warn at the line that called them."""
+        coarse = SlicedPath(0.0, 0.4, np.full((3, 3), 0.1, dtype=complex))
+        with pytest.warns(CoarseStepWarning) as record:
+            slice_kernel((0.1, 0, 0), (0.1, 0, 0), 0.2, PARAMS)
+            product_propagator(coarse, PARAMS)
+        assert [w.filename for w in record] == [__file__, __file__]
+
     def test_limit_recovers_pure_overlap(self):
         """As eta -> 0 the kernel tends to the bare coherent overlap."""
         prev = (0.4, 0.2j, -0.1)
@@ -93,7 +128,26 @@ class TestProductPropagator:
         path = random_path(rng, 1, t_b=0.01)
         kernel = slice_kernel(tuple(path.labels[0]), tuple(path.labels[1]),
                               0.01, PARAMS)
-        assert product_propagator(path, PARAMS) == pytest.approx(kernel, rel=1e-15)
+        assert product_propagator(path, PARAMS) == kernel
+
+    def test_matches_per_slice_loop_bit_for_bit(self):
+        """Random, RK4 and pinned free paths: the same value and sign bits
+        as multiplying the kernels one slice at a time."""
+        rng = np.random.default_rng(21)
+        paths = [random_path(rng, n, scale=0.1, t_b=n * 1e-3)
+                 for n in (1, 2, 7, 64, 1000, 4097)]
+        for dt in (1e-2, 1e-3):
+            start = MeanFieldState(1.2 - 0.3j, 0.4 + 0.1j, -0.2j)
+            paths.append(path_from_trajectory(integrate_rk4(start, PARAMS, 1.0, dt)))
+        paths += [free_mode_path(1.3, 2.0, 1.0, n, pinned_end=1.3)
+                  for n in (64, 4096)]
+        for path in paths:
+            for params in (PARAMS, FREE):
+                got = product_propagator(path, params)
+                want = looped_product(path, params)
+                assert got == want
+                assert np.signbit([got.real, got.imag]).tolist() == \
+                    np.signbit([want.real, want.imag]).tolist()
 
     def test_free_product_first_order_convergence(self):
         """Pinned-endpoint free path: error vs the closed form halves with n.
@@ -126,6 +180,30 @@ class TestProductPropagator:
         labels[1, 0] = 45.0  # overlap magnitude e^{-45^2/2} underflows
         with pytest.raises(DivergenceError):
             product_propagator(SlicedPath(0.0, 1e-3, labels), PARAMS)
+
+    def test_overflow_guard_is_cumulative(self):
+        """No single slice comes near the limit; the running sum of 690
+        slices stays inside it, that of 710 leaves it."""
+        inside = product_propagator(alternating_path(690), PARAMS)
+        assert inside == looped_product(alternating_path(690), PARAMS)
+        assert np.log(abs(inside)) == pytest.approx(-690.0, rel=1e-6)
+        with pytest.raises(DivergenceError, match="log-magnitude"):
+            product_propagator(alternating_path(710), PARAMS)
+
+    def test_overflow_guard_checks_every_prefix(self):
+        """310 static slices at |a|^2 = 500 grow the log-magnitude by
+        ln|1 - 10i| = 2.31 each, past 700 at slice 304; the final jump by
+        10 takes about 48 back off.  The product ends inside the window,
+        but it left it on the way."""
+        labels = np.zeros((312, 3), dtype=complex)
+        labels[:, 0] = np.sqrt(500.0)
+        labels[-1, 0] -= 10.0
+        path = SlicedPath(0.0, 3.11, labels)
+        magnitudes = np.abs(_slice_kernels(path.labels, path.eta, FREE))
+        assert abs(np.sum(np.log(magnitudes))) < LOG_OVERFLOW_LIMIT
+        for product in (product_propagator, looped_product):
+            with pytest.raises(DivergenceError, match="log-magnitude"):
+                product(path, FREE)
 
 
 class TestClassicalAction:

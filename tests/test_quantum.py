@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+from opasim.errors import ResourceLimitError
 from opasim.fockspace import (
     ModeParams,
     TruncationDims,
@@ -129,6 +130,13 @@ class TestEvolveState:
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             evolve_state(h, np.array([1.0, 0.0], dtype=complex), 1.0, 2)
+
+    def test_sample_cap_checked_before_allocating(self):
+        dims = TruncationDims(8, 8, 8)
+        psi0 = product_coherent_state(0.5, 0.0, 0.0, dims)
+        h = system_hamiltonian(ModeParams(2.0, 1.0, 1.0, kappa_mag=0.1), dims)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            evolve_state(h, psi0, 1.0, 10 ** 12, dims=dims)
 
     def test_dimension_mismatch_rejected(self):
         dims = TruncationDims(2, 2, 2)

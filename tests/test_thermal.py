@@ -196,6 +196,8 @@ class TestFluorescenceEnsemble:
             fluorescence_ensemble(PARAMS, ThermalParams(1.0), 1.0, 0.01, 0)
         with pytest.raises(ValueError):
             ThermalParams(temperature=-0.1)
+        with pytest.raises(ValueError):
+            ThermalParams(temperature=1.0, seed=-1)
 
 
 def batched_reference(params, thermal, t_final, dt, n_samples):
