@@ -20,12 +20,17 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResourceLimitError
-from .fockspace import ModeParams, TruncationDims, product_coherent_state
+from .fockspace import (
+    SWEEP_POINT_CAP,
+    ModeParams,
+    TruncationDims,
+    product_coherent_state,
+)
 from .meanfield import MeanFieldState, Trajectory, integrate_rk4, num_steps
 from .pathintegral import (
     free_mode_path,
@@ -260,6 +265,12 @@ def parse_config(text: str) -> RunConfig:
             )
 
     output = values["output"] if values["output"] is not None else f"{scenario}.csv"
+    output_path = PurePath(output)
+    if output_path.is_absolute() or ".." in output_path.parts:
+        raise ConfigError(
+            f"output must be a relative path without '..'; set by "
+            f"{_lines_of('output')}"
+        )
 
     config = RunConfig(
         scenario=scenario, params=params, dims=dims,
@@ -450,6 +461,11 @@ def _config_with_sweep_value(config: RunConfig, value: float) -> RunConfig:
 def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
     """Run every point, then write the aggregate; a point or write that
     raises removes the point files already written before re-raising."""
+    if config.sweep_count > SWEEP_POINT_CAP:
+        raise ResourceLimitError(
+            f"sweep of {config.sweep_count} points exceeds the cap of "
+            f"{SWEEP_POINT_CAP} points"
+        )
     values = np.linspace(config.sweep_start, config.sweep_stop,
                          config.sweep_count)
     outputs = []

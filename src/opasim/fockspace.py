@@ -33,9 +33,17 @@ DEFAULT_DIM_CAP = 262144
 #: run holds about 200 bytes per sample at its peak.
 TRAJECTORY_SAMPLE_CAP = 5_000_000
 
-#: Bound on (steps + 1) * members of a thermal ensemble, whose two float
-#: buffers hold 16 bytes per member-step.
+#: Bound on (steps + 1) * members of a thermal ensemble.  The statistics
+#: are streamed, so this bounds run time and the output, not buffers.
 ENSEMBLE_MEMBER_STEP_CAP = 50_000_000
+
+#: Bound on the members of a thermal ensemble; a run holds about 470 bytes
+#: per member at its peak, whatever its step count.
+ENSEMBLE_MEMBER_CAP = 2_000_000
+
+#: Bound on the points of a parameter sweep, each of which writes its own
+#: CSV file.
+SWEEP_POINT_CAP = 10_000
 
 #: Bound on samples * d0*d1*d2 of one exact evolution, whose state array
 #: holds 16 bytes per entry (a CLI run peaks at about 25 bytes per entry).

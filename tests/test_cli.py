@@ -380,9 +380,17 @@ class TestMainExitCodes:
         ("fluorescence", {"dt = 0.01": "dt = 1e-12"}, ""),
         ("quantum", {"dt = 0.01": "dt = 5e-324"}, ""),
         ("thermal-ensemble", {"dt = 0.01": "dt = 5e-324"}, ""),
+        # one step keeps 2*10^6 + 1 members under the member-step cap
+        ("thermal-ensemble", {"t_final = 1.0": "t_final = 0.01"},
+         "n_samples = 2000001\n"),
+        ("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\nsweep_stop = 0.2\n"
+         "sweep_count = 1000000000\n"),
+        ("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\nsweep_stop = 0.2\n"
+         "sweep_count = " + "1" + "0" * 30 + "\n"),
     ], ids=["ensemble-members", "meanfield-steps", "action-check-steps",
             "sweep-steps", "quantum-steps", "fluorescence-steps",
-            "quantum-step-count-overflow", "ensemble-step-count-overflow"])
+            "quantum-step-count-overflow", "ensemble-step-count-overflow",
+            "ensemble-member-count", "sweep-points", "sweep-points-beyond-int64"])
     def test_run_size_cap_exits_4_before_allocating(self, tmp_path, capsys,
                                                     scenario, edits, extra):
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
@@ -406,6 +414,20 @@ class TestMainExitCodes:
         assert "numeric error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("output", ["{root}/escaped.csv", "../escaped.csv",
+                                        "sub/../../escaped.csv"],
+                             ids=["absolute", "parent", "nested-parent"])
+    def test_output_outside_output_dir_exits_2(self, tmp_path, capsys, output):
+        """An output path may not leave --output-dir; nothing is written."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        cfg = _write(tmp_path, "run.cfg", MINIMAL_MEANFIELD
+                     + f"output = {output.format(root=tmp_path)}\n")
+        assert main([str(cfg), "--output-dir", str(out_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
+        assert not list(out_dir.iterdir())
 
     def test_unwritable_output_exits_5(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.cfg", MINIMAL_MEANFIELD)
@@ -458,9 +480,15 @@ class TestWriteCsvAtomic:
         assert not list(tmp_path.iterdir())
 
 
+#: Counts beyond every cap, which must stop a run (exit 4) before it
+#: allocates.  2*10^7 ensemble members over one step stay under the
+#: member-step cap, so only the member cap stops them.
+_HUGE_COUNTS = ["20000000", "1" + "0" * 30]
+
 #: Values that keep a valid run small: dims <= 6, <= 10^3 steps, <= 16
-#: ensemble members, <= 3 sweep points.  Outputs stay relative, inside
-#: the run's temporary output directory.
+#: ensemble members, <= 3 sweep points, or a huge count that a cap stops
+#: at once.  Outputs stay relative, inside the run's temporary output
+#: directory.
 _SMALL_VALUES = {
     "omega0": ["2"], "omega1": ["1"], "omega2": ["1"],
     "kappa": ["0", "0.1", "0.5"], "phi": ["0", "0.7", "-2"],
@@ -468,17 +496,16 @@ _SMALL_VALUES = {
        for j in range(3) for part in ("re", "im")},
     "d0": ["2", "4", "6"], "d1": ["2", "5"], "d2": ["3", "6"],
     "t_final": ["0.05", "0.5", "1"], "dt": ["0.001", "0.01", "0.05"],
-    "n_slices": ["1", "64", "300"], "n_samples": ["1", "4", "16"],
+    "n_slices": ["1", "64", "300"], "n_samples": ["1", "4", "16", *_HUGE_COUNTS],
     "temperature": ["0", "1"], "seed": ["0", "7"],
     "include_zero_point": ["true", "false"],
     "sweep_key": [*SWEEPABLE_KEYS, "temperature"],
     "sweep_start": ["0", "0.2"], "sweep_stop": ["0.4", "1"],
-    "sweep_count": ["1", "3"], "output": ["run.csv", "missing/run.csv"],
+    "sweep_count": ["1", "3", *_HUGE_COUNTS], "output": ["run.csv", "missing/run.csv"],
 }
 
-#: Huge values, for every key but sweep_count: the sweep allocates its
-#: grid of points before any check.
-_HUGE = ["1e300", "1" + "0" * 30]
+#: Huge values for every key.
+_HUGE = ["1e300", *_HUGE_COUNTS]
 
 #: Bad values for every key.
 _BAD_VALUES = ["nan", "inf", "-inf", "-3", "0", "x", "1.5.2", ""]
@@ -506,8 +533,7 @@ def config_texts(draw):
         count = 1 if fault == "value" else 2
         for key in draw(st.lists(st.sampled_from([*keys, "scenario"]), unique=True,
                                  min_size=count, max_size=count)):
-            bad = (_HUGE if key != "sweep_count" else []) + _BAD_VALUES
-            entries[key] = draw(st.sampled_from(bad))
+            entries[key] = draw(st.sampled_from(_HUGE + _BAD_VALUES))
     elif fault == "missing":
         del entries[draw(st.sampled_from([*keys, "scenario"]))]
     lines = [f"{key} = {value}" for key, value in entries.items()]

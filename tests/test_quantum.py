@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from opasim.errors import ResourceLimitError
+from opasim.errors import ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
     ModeParams,
     TruncationDims,
@@ -42,7 +42,8 @@ class TestEvolveState:
     def test_zero_time_returns_initial_state(self):
         dims = TruncationDims(3, 3, 3)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3)
-        psi0 = product_coherent_state(0.5, 0.3, 0.2j, dims)
+        with pytest.warns(TruncationWarning):  # every ladder is cut at d = 3
+            psi0 = product_coherent_state(0.5, 0.3, 0.2j, dims)
         result = evolve_state(build_hamiltonian(params, dims), psi0, 0.0, 1,
                               dims=dims)
         np.testing.assert_allclose(result.states[0], psi0, atol=1e-14)
@@ -62,7 +63,8 @@ class TestEvolveState:
         """dims (8,12,12), kappa=0.1, pump alpha0=2: <n1> = <n2> to 1e-8."""
         dims = TruncationDims(8, 12, 12)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, pump_alpha0=2.0)
-        result = fluorescence_from_vacuum(params, dims, 1.0, 5)
+        with pytest.warns(TruncationWarning):  # the pump ladder keeps 97.4%
+            result = fluorescence_from_vacuum(params, dims, 1.0, 5)
         gap = np.abs(result.expectations[:, 1] - result.expectations[:, 2])
         assert np.max(gap) < 1e-8
         assert result.expectations[-1, 1] > 1e-3  # actual growth happened
@@ -75,13 +77,14 @@ class TestEvolveState:
         """
         dims = TruncationDims(6, 9, 7)
         params = ModeParams(2.0, 1.3, 0.7, kappa_mag=0.15, pump_alpha0=1.5)
-        base = evolve_state(build_hamiltonian(params, dims),
-                            product_coherent_state(1.5, 0.4, 0.1j, dims),
-                            2.0, 7, dims=dims)
         sdims = dims.swapped()
         sparams = params.swapped()
-        swapped = evolve_state(build_hamiltonian(sparams, sdims),
-                               product_coherent_state(1.5, 0.1j, 0.4, sdims),
+        with pytest.warns(TruncationWarning):  # the pump ladder is cut at d0 = 6
+            psi0 = product_coherent_state(1.5, 0.4, 0.1j, dims)
+            swapped_psi0 = product_coherent_state(1.5, 0.1j, 0.4, sdims)
+        base = evolve_state(build_hamiltonian(params, dims), psi0, 2.0, 7,
+                            dims=dims)
+        swapped = evolve_state(build_hamiltonian(sparams, sdims), swapped_psi0,
                                2.0, 7, dims=sdims)
         np.testing.assert_allclose(base.expectations[:, 1],
                                    swapped.expectations[:, 2], atol=1e-10)
@@ -119,7 +122,8 @@ class TestEvolveState:
         """Krylov propagation agrees with eigendecomposition to 1e-10."""
         dims = TruncationDims(4, 5, 4)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.25, pump_alpha0=1.0)
-        psi0 = product_coherent_state(1.0, 0.2, 0.1, dims)
+        with pytest.warns(TruncationWarning):  # the pump ladder is cut at d0 = 4
+            psi0 = product_coherent_state(1.0, 0.2, 0.1, dims)
         dense = evolve_state(build_hamiltonian(params, dims), psi0, 3.0, 7,
                              dims=dims)
         sparse_res = evolve_state(build_hamiltonian_sparse(params, dims),
@@ -269,7 +273,8 @@ class TestFluorescence:
     def test_uncoupled_vacuum_stays_dark(self):
         dims = TruncationDims(8, 4, 4)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0, pump_alpha0=1.5)
-        result = fluorescence_from_vacuum(params, dims, 2.0, 5)
+        with pytest.warns(TruncationWarning):  # the pump ladder is cut at d0 = 8
+            result = fluorescence_from_vacuum(params, dims, 2.0, 5)
         assert np.max(result.expectations[:, 1:]) < 1e-12
 
     def test_gain_matches_hyperbolic_law_at_low_depletion(self):
@@ -282,7 +287,9 @@ class TestFluorescence:
         g = kappa * alpha0
         dims = TruncationDims(24, 10, 10)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=kappa, pump_alpha0=alpha0)
-        result = fluorescence_from_vacuum(params, dims, 0.3 / g, 4)
+        # 1.2e-5 of the pump's norm lies above d0 = 24
+        with pytest.warns(TruncationWarning):
+            result = fluorescence_from_vacuum(params, dims, 0.3 / g, 4)
         for k in range(1, 4):
             gt = g * result.times[k]
             n1 = result.expectations[k, 1]
@@ -292,7 +299,8 @@ class TestFluorescence:
     def test_twin_balance_exact(self):
         dims = TruncationDims(12, 10, 10)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.15, pump_alpha0=2.0)
-        result = fluorescence_from_vacuum(params, dims, 1.5, 7)
+        with pytest.warns(TruncationWarning):  # the pump ladder is cut at d0 = 12
+            result = fluorescence_from_vacuum(params, dims, 1.5, 7)
         gap = np.abs(result.expectations[:, 1] - result.expectations[:, 2])
         assert np.max(gap) < 1e-8
 

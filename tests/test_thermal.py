@@ -6,12 +6,14 @@ complex Gaussian), with fixed seeds so every run is identical.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from opasim import thermal as thermal_module
 from opasim.errors import DivergenceError, ResourceLimitError
-from opasim.fockspace import ModeParams
+from opasim.fockspace import ENSEMBLE_MEMBER_CAP, ModeParams
 from opasim.meanfield import DIVERGENCE_LIMIT, MeanFieldState, integrate_rk4
 from opasim.thermal import (
     ThermalParams,
@@ -191,6 +193,36 @@ class TestFluorescenceEnsemble:
         with pytest.raises(ResourceLimitError):
             fluorescence_ensemble(PARAMS, ThermalParams(1.0), 1.0, 0.01, 10 ** 9)
 
+    def test_member_cap_checked_before_seeding(self):
+        """One step keeps the member-steps under their cap; the member
+        count alone must stop the run before any member is seeded."""
+        with pytest.raises(ResourceLimitError, match="members exceeds"):
+            fluorescence_ensemble(PARAMS, ThermalParams(1.0), 0.01, 0.01,
+                                  ENSEMBLE_MEMBER_CAP + 1)
+
+    def test_lazy_children_equal_spawned_list(self):
+        seed, n = 1234, 50
+        for k, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            lazy = thermal_module._child_seed(seed, k)
+            assert lazy.spawn_key == child.spawn_key
+            assert np.array_equal(lazy.generate_state(8), child.generate_state(8))
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        """Past one chunk of steps, only the (4, steps + 1) statistics and
+        the times grow with the step count: at most 40 bytes per step.  Two
+        (steps + 1) x 2000 buffers would grow by 32 kB per step."""
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                fluorescence_ensemble(PARAMS, ThermalParams(1.0, seed=3),
+                                      t_final, 0.01, 2000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(2.0), peak(8.0)
+        assert long - short < 64 * 600
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fluorescence_ensemble(PARAMS, ThermalParams(1.0), 1.0, 0.01, 0)
@@ -221,6 +253,7 @@ def batched_reference(params, thermal, t_final, dt, n_samples):
         return out
 
     steps = int(math.floor(t_final / dt + 1e-9))
+    first_failure = None
     n1 = np.empty((steps + 1, n_samples))
     n2 = np.empty((steps + 1, n_samples))
     n1[0] = np.abs(a[1]) ** 2
@@ -236,32 +269,65 @@ def batched_reference(params, thermal, t_final, dt, n_samples):
         if np.any(bad & alive):
             alive &= ~bad
             a[:, bad] = 0.0
+            first_failure = first_failure or k + 1
         n1[k + 1] = np.abs(a[1]) ** 2
         n2[k + 1] = np.abs(a[2]) ** 2
     n1 = n1[:, alive]
     n2 = n2[:, alive]
     ddof = 1 if n1.shape[1] > 1 else 0
-    return (n_samples - np.count_nonzero(alive),
+    return (n_samples - np.count_nonzero(alive), first_failure,
             n1.mean(axis=1), n1.var(axis=1, ddof=ddof),
             n2.mean(axis=1), n2.var(axis=1, ddof=ddof))
 
 
+DEPLETING = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3, phi=2.1,
+                       pump_alpha0=1.5 - 0.5j)
+DIVERGING = ModeParams(2.0, 1.2, 0.8, kappa_mag=11.0, pump_alpha0=2.0)
+
+
 class TestBitIdentity:
-    """Driving the shared RK4 step over one array per mode changes no bit
-    of the statistics of a (3, N) batched integration."""
+    """Driving the shared RK4 step over one array per mode, and streaming
+    the statistics in chunks of steps, changes no bit of the statistics of
+    a (3, N) batched integration reduced at the end."""
 
     @pytest.mark.parametrize("params,thermal,t_final,dt,n", [
         (PARAMS, ThermalParams(1.0, seed=77), 0.5, 0.01, 64),
-        (ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3, phi=2.1, pump_alpha0=1.5 - 0.5j),
-         ThermalParams(0.7, seed=5), 3.0, 0.01, 33),
+        (DEPLETING, ThermalParams(0.7, seed=5), 3.0, 0.01, 33),
         # the partially divergent case of test_partial_divergence_excluded_and_counted
-        (ModeParams(2.0, 1.2, 0.8, kappa_mag=11.0, pump_alpha0=2.0),
-         ThermalParams(1.5, seed=14), 4.0, 0.06, 64),
+        (DIVERGING, ThermalParams(1.5, seed=14), 4.0, 0.06, 64),
     ], ids=["stable", "stable-depleting", "partially-divergent"])
     def test_matches_batched_reference(self, params, thermal, t_final, dt, n):
         stats = fluorescence_ensemble(params, thermal, t_final, dt, n)
-        failures, *moments = batched_reference(params, thermal, t_final, dt, n)
-        assert stats.n_failures == failures
-        for got, want in zip((stats.mean_n1, stats.var_n1, stats.mean_n2,
-                              stats.var_n2), moments):
-            assert np.array_equal(got, want)
+        failures, _, *moments = batched_reference(params, thermal, t_final, dt, n)
+        assert_same_statistics(stats, failures, moments)
+
+    @pytest.mark.parametrize("params,thermal,t_final,dt,n,rows", [
+        # 101 steps in chunks of 7 rows over a member count that is not a
+        # multiple of numpy's 8-way unrolled sums
+        (DEPLETING, ThermalParams(0.7, seed=5), 1.0, 0.01, 37, 7),
+        # 51 steps in chunks of 10 rows: the one-row tail joins the last chunk
+        (DEPLETING, ThermalParams(1.1, seed=8), 0.5, 0.01, 40, 10),
+        # members diverge after the first chunk is reduced, so the
+        # survivors' statistics come from the second, masked pass
+        (DIVERGING, ThermalParams(1.5, seed=14), 4.0, 0.06, 64, 3),
+        # a budget below two rows still reduces two rows at a time
+        (PARAMS, ThermalParams(1.0, seed=2), 0.2, 0.01, 37, 0),
+    ], ids=["members-not-multiple-of-8", "one-row-tail", "diverges-after-flush",
+            "budget-below-two-rows"])
+    def test_many_chunks_match_batched_reference(self, monkeypatch, params,
+                                                 thermal, t_final, dt, n, rows):
+        monkeypatch.setattr(thermal_module, "_CHUNK_BYTES", 16 * n * rows)
+        stats = fluorescence_ensemble(params, thermal, t_final, dt, n)
+        failures, first_failure, *moments = batched_reference(
+            params, thermal, t_final, dt, n)
+        assert len(stats.times) > 2 * rows
+        if failures:
+            assert first_failure > rows
+        assert_same_statistics(stats, failures, moments)
+
+
+def assert_same_statistics(stats, failures, moments):
+    assert stats.n_failures == failures
+    for got, want in zip((stats.mean_n1, stats.var_n1, stats.mean_n2,
+                          stats.var_n2), moments):
+        assert np.array_equal(got, want)
