@@ -5,17 +5,22 @@ n0+n1 and n0+n2, so it is a direct sum of chains of fixed charges, each
 ordered by n0.  The gauge conj(kappa'/|kappa'|)^k makes every chain a real
 symmetric tridiagonal block.  :func:`system_hamiltonian` returns that
 charge-sector form, and :func:`evolve_state` propagates it exactly by
-diagonalising the chains of each length in one batched ``eigh``.  Any other
-Hermitian H, dense or scipy sparse, is propagated through a full
-eigendecomposition or, for larger or sparse inputs, Krylov evaluation of
-the matrix exponential acting on the state.  Every route satisfies the
+diagonalising the chains of each length in one batched ``eigh``.  The
+norm, occupations, energy and top-level leakage of every sample are reduced
+inside that chain loop, so the (samples, dim) state array is assembled
+only when a caller reads ``EvolutionResult.states``.  Any other Hermitian
+H, dense or scipy sparse, is propagated through a full eigendecomposition
+or, for larger or sparse inputs, Krylov evaluation of the matrix
+exponential acting on the state.  Every route satisfies the
 same contract: unit norm to 1e-9 and machine-accurate conservation of
 energy and of the three-wave-mixing charges n0+n1, n0+n2, n1-n2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -50,20 +55,26 @@ LEAKAGE_TOL = 1e-6
 class EvolutionResult:
     """Uniformly sampled evolution of a state under a fixed Hamiltonian.
 
-    ``states[k]`` is the state at ``times[k]``; ``expectations[k]`` holds
-    (<n0>, <n1>, <n2>), ``energies[k]`` is <H> and ``norm_deviations[k]``
-    is | ||psi|| - 1 |.  ``leakage[k]`` is the population on any mode's top
-    Fock level (zeros when the evolution had no ``dims``).  ``warnings``
-    collects truncation diagnostics.
+    ``expectations[k]`` holds (<n0>, <n1>, <n2>) at ``times[k]``,
+    ``energies[k]`` is <H> and ``norm_deviations[k]`` is | ||psi|| - 1 |.
+    ``leakage[k]`` is the population on any mode's top Fock level (zeros
+    when the evolution had no ``dims``).  ``warnings`` collects truncation
+    diagnostics.  ``states[k]``, the state at ``times[k]``, is built by
+    ``assemble`` on first read and kept: the charge-sector route computes
+    the observables without it and assembles it only when asked.
     """
 
     times: np.ndarray
-    states: np.ndarray
     expectations: np.ndarray
     energies: np.ndarray
     norm_deviations: np.ndarray
     leakage: np.ndarray
+    assemble: Callable[[], np.ndarray] = field(repr=False, compare=False)
     warnings: list[str] = field(default_factory=list)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self.assemble()
 
     @property
     def max_norm_deviation(self) -> float:
@@ -126,13 +137,13 @@ class SectorHamiltonian:
         return (self.dims.total, self.dims.total)
 
     def chains(self):
-        """Yield ``(index, diagonal, coupling)`` once per chain length L.
+        """Yield ``(index, occupations, diagonal, coupling)`` per chain length L.
 
         ``index`` (m, L) holds the basis indices of the m chains of that
-        length, ``diagonal`` (m, L) their diagonal entries of H, and
-        ``coupling`` (m, L-1) the magnitudes sqrt(n0 (n1+1) (n2+1)) linking
-        position j-1 to j, taken at position j.  H[j-1, j] is kappa' times
-        that magnitude.
+        length, ``occupations`` (3, m, L) their n0, n1, n2, ``diagonal``
+        (m, L) their diagonal entries of H, and ``coupling`` (m, L-1) the
+        magnitudes sqrt(n0 (n1+1) (n2+1)) linking position j-1 to j, taken
+        at position j.  H[j-1, j] is kappa' times that magnitude.
         """
         p, d = self.params, self.dims
         charge1 = np.arange(d.d0 + d.d1 - 1)[:, None]
@@ -152,52 +163,94 @@ class SectorHamiltonian:
             if p.include_zero_point:
                 diagonal = diagonal + 0.5 * (p.omega0 + p.omega1 + p.omega2)
             coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
-            yield (n0 * d.d1 + n1) * d.d2 + n2, diagonal, coupling
+            index = (n0 * d.d1 + n1) * d.d2 + n2
+            yield index, np.stack([n0, n1, n2]), diagonal, coupling
 
 
-def _propagate_sectors(h: SectorHamiltonian, psi0: np.ndarray, step: float,
-                       n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """States exp(-i H k step) psi0, k < n_samples, and their energies <H>.
+def _evolved_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
+                    n_samples: int):
+    """The chains of psi0 evolved to the times k step, k < n_samples.
 
-    The chains of each length are diagonalised together.  Chains on which
-    psi0 vanishes stay zero and are skipped.  The phases of sample k are
-    the k-th powers of one step's phases.  The energies apply each
-    tridiagonal chain, with its complex couplings, to the propagated
-    states, so they check the states rather than repeat the eigenvalues.
+    Yields ``(index, occupations, diagonal, coupling, frame, amplitudes)``
+    once per chain length, for the chains on which psi0 does not vanish
+    (the others stay zero).  Those chains are diagonalised together, and
+    the phases of sample k are the k-th powers of one step's phases.
+    ``amplitudes`` (m, L, n_samples) are the evolved basis amplitudes.
+    ``frame`` (m, L, 2 n_samples) holds the real and imaginary parts of the
+    same amplitudes in the gauge conj(kappa'/|kappa'|)^j, where every chain
+    is a real block, before the gauge phase is put back.
     """
-    kappa = h.params.kappa_prime
-    angle = -np.angle(kappa)  # gauge conj(kappa'/|kappa'|)^j = exp(i angle j)
-    states = np.zeros((n_samples, psi0.shape[0]), dtype=complex)
-    energies = np.zeros(n_samples)
-    for index, diagonal, coupling in h.chains():
-        amplitudes = psi0[index]
-        occupied = np.any(amplitudes != 0, axis=1)
+    angle = -np.angle(h.params.kappa_prime)  # gauge exp(i angle j)
+    for index, occupations, diagonal, coupling in h.chains():
+        start = psi0[index]
+        occupied = np.any(start != 0, axis=1)
         if not occupied.any():
             continue
-        index, diagonal, coupling, amplitudes = (
-            index[occupied], diagonal[occupied], coupling[occupied],
-            amplitudes[occupied])
+        index, occupations, diagonal, coupling, start = (
+            index[occupied], occupations[:, occupied], diagonal[occupied],
+            coupling[occupied], start[occupied])
         m, length = index.shape
         gauge = np.exp(1j * angle * np.arange(length))
         offset = diagonal[:, :1]  # keeps the blocks small next to the chain energy
         block = np.zeros((m, length, length))
         j = np.arange(length)
         block[:, j, j] = diagonal - offset
-        block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = abs(kappa) * coupling
+        block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = (
+            abs(h.params.kappa_prime) * coupling)
         eigvals, vectors = np.linalg.eigh(block)
         evolved = np.empty((m, length, n_samples), dtype=complex)
-        evolved[:, :, 0] = np.einsum("mjl,mj->ml", vectors, gauge.conj() * amplitudes)
+        evolved[:, :, 0] = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
         evolved[:, :, 1:] = np.exp(-1j * step * (eigvals + offset))[:, :, None]
         np.cumprod(evolved, axis=2, out=evolved)
         # real eigenvectors times complex amplitudes as one real matmul
-        chain = (vectors @ evolved.view(float)).view(complex) * gauge[:, None]
-        states[:, index.ravel()] = chain.transpose(2, 0, 1).reshape(n_samples, -1)
+        frame = vectors @ evolved.view(float)
+        del evolved
+        yield (index, occupations, diagonal, coupling, frame,
+               frame.view(complex) * gauge[:, None])
 
-        h_chain = diagonal[:, :, None] * chain
-        h_chain[:, :-1] += kappa * coupling[:, :, None] * chain[:, 1:]
-        h_chain[:, 1:] += np.conj(kappa) * coupling[:, :, None] * chain[:, :-1]
-        energies += np.einsum("mjk,mjk->k", chain.conj(), h_chain).real
-    return states, energies
+
+def _assemble_states(h: SectorHamiltonian, psi0: np.ndarray, step: float,
+                     n_samples: int) -> np.ndarray:
+    """The (n_samples, dim) states exp(-i H k step) psi0, chain by chain."""
+    states = np.zeros((n_samples, psi0.shape[0]), dtype=complex)
+    for index, *_, amplitudes in _evolved_chains(h, psi0, step, n_samples):
+        states[:, index.ravel()] = amplitudes.transpose(2, 0, 1).reshape(n_samples, -1)
+    return states
+
+
+def _reduce_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
+                   n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample sums over the evolved chains, without the state array.
+
+    Returns ``moments`` (5, n_samples), the squared norm, the sums of
+    n0, n1, n2 and of H over the populations, and ``top`` (n_samples, B),
+    the populations of the B basis states with a mode on its top Fock
+    level, in basis order.  <H> is taken in the real gauge frame: the
+    diagonal against the populations plus 2|kappa'| coupling
+    Re(conj(phi_{j-1}) phi_j) per link, phi the gauge-frame amplitudes, so
+    it checks the states rather than repeating the eigenvalues.  ``top`` holds |psi|^2 of exactly the
+    amplitudes :func:`_assemble_states` scatters, so its row sums are the
+    top-level populations bit for bit.
+    """
+    on_boundary = _boundary_mask(h.dims)
+    boundary = np.flatnonzero(on_boundary)
+    magnitude = abs(h.params.kappa_prime)
+    moments = np.zeros((5, n_samples))
+    top = np.zeros((n_samples, boundary.size))
+    for index, occupations, diagonal, coupling, frame, amplitudes in _evolved_chains(
+            h, psi0, step, n_samples):
+        weights = np.concatenate([np.ones_like(diagonal)[None], occupations,
+                                  diagonal[None]]).reshape(5, -1)
+        sums = weights @ (frame * frame).reshape(weights.shape[1], 2 * n_samples)
+        moments += sums.reshape(5, n_samples, 2).sum(axis=2)
+        links = (frame[:, :-1] * frame[:, 1:]).reshape(coupling.size, 2 * n_samples)
+        cross = (coupling.reshape(-1) @ links).reshape(n_samples, 2).sum(axis=1)
+        moments[4] += 2.0 * magnitude * cross
+        on_top = on_boundary[index]
+        columns = np.searchsorted(boundary, index[on_top])
+        top[:, columns] = (np.abs(amplitudes[on_top]) ** 2).T
+        del frame, amplitudes  # before the next chain length is evolved
+    return moments, top
 
 
 def system_hamiltonian(params: ModeParams, dims: TruncationDims) -> SectorHamiltonian:
@@ -226,8 +279,12 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
     occupation expectations and the top-level population are recorded,
     and truncation-boundary leakage is monitored (population of any top
     Fock level above ``LEAKAGE_TOL`` attaches a warning to the result).
-    Raises :class:`ResourceLimitError` before allocating if the samples
-    would hold more than ``STATE_SAMPLE_CAP`` state entries.
+    For the charge-sector form ``dims`` must be the Hamiltonian's own, the
+    observables are reduced chain by chain, and the result's ``states``
+    are assembled from the chains only if they are read.  The other forms
+    compute the states first and take the observables from them.  Raises
+    :class:`ResourceLimitError` before allocating if the samples would
+    hold more than ``STATE_SAMPLE_CAP`` state entries.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if t_final < 0:
@@ -249,15 +306,31 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
         )
     times = np.linspace(0.0, t_final, n_samples)
     if isinstance(h, SectorHamiltonian):
+        if dims is not None and (dims.d0, dims.d1, dims.d2) != (
+                h.dims.d0, h.dims.d1, h.dims.d2):
+            raise ValueError(f"dims {dims} do not match the Hamiltonian's {h.dims}")
         step = times[1] if n_samples > 1 else 0.0
-        states, energies = _propagate_sectors(h, psi0, step, n_samples)
+        moments, top = _reduce_chains(h, psi0, step, n_samples)
+        norm_sq, occupations, energies = moments[0], moments[1:4].T, moments[4]
+        leakage = np.sum(top, axis=1)
+
+        def assemble():
+            return _assemble_states(h, psi0, step, n_samples)
     else:
         _check_hermitian(h)
         states = _propagate(h, psi0, times)
         energies = np.real(np.sum(states.conj() * _apply(h, states), axis=1))
+        probs = np.abs(states) ** 2
+        norm_sq = np.sum(probs, axis=1)
+        if dims is not None:
+            n0, n1, n2 = occupation_arrays(dims)
+            occupations = np.stack([probs @ n0, probs @ n1, probs @ n2], axis=1)
+            leakage = np.sum(probs[:, _boundary_mask(dims)], axis=1)
 
-    probs = np.abs(states) ** 2
-    norm_dev = np.abs(np.sqrt(np.sum(probs, axis=1)) - 1.0)
+        def assemble():
+            return states
+
+    norm_dev = np.abs(np.sqrt(norm_sq) - 1.0)
     if np.max(norm_dev) > NORM_TOL:
         raise DivergenceError(
             f"evolution lost unitarity: max | ||psi|| - 1 | = {np.max(norm_dev):.3g}"
@@ -265,10 +338,7 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
 
     notes: list[str] = []
     if dims is not None:
-        n0, n1, n2 = occupation_arrays(dims)
-        expectations = np.stack([probs @ n0, probs @ n1, probs @ n2], axis=1)
-        expectations = np.maximum(expectations, 0.0)
-        leakage = np.sum(probs[:, _boundary_mask(dims)], axis=1)
+        expectations = np.maximum(occupations, 0.0)
         if np.max(leakage) > LEAKAGE_TOL:
             notes.append(
                 f"truncation-boundary population reached {np.max(leakage):.3g}; "
@@ -278,10 +348,9 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
         expectations = np.zeros((n_samples, 3))
         leakage = np.zeros(n_samples)
 
-    return EvolutionResult(times=times, states=states,
-                           expectations=expectations, energies=energies,
-                           norm_deviations=norm_dev, leakage=leakage,
-                           warnings=notes)
+    return EvolutionResult(times=times, expectations=expectations,
+                           energies=energies, norm_deviations=norm_dev,
+                           leakage=leakage, assemble=assemble, warnings=notes)
 
 
 def expectation_number(psi: np.ndarray, mode: int, dims: TruncationDims) -> float:
@@ -303,7 +372,7 @@ def propagator_exact(params: ModeParams, dims: TruncationDims,
     """Exact truncated-space transition amplitude <alpha_b| e^{-iHt} |alpha_a>."""
     psi_a = product_coherent_state(*alpha_a, dims)
     psi_b = product_coherent_state(*alpha_b, dims)
-    states, _ = _propagate_sectors(system_hamiltonian(params, dims), psi_a, t, 2)
+    states = _assemble_states(system_hamiltonian(params, dims), psi_a, t, 2)
     return complex(np.vdot(psi_b, states[1]))
 
 

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ResourceLimitError
-from .fockspace import ENSEMBLE_MEMBER_CAP, ENSEMBLE_MEMBER_STEP_CAP, ModeParams
+from .fockspace import (
+    ENSEMBLE_MEMBER_CAP,
+    ENSEMBLE_MEMBER_STEP_CAP,
+    TRAJECTORY_SAMPLE_CAP,
+    ModeParams,
+)
 from .meanfield import DIVERGENCE_LIMIT, num_steps, rhs_coefficients, rk4_step
 
 #: Beyond this value of omega/T the occupancy underflows to zero anyway.
@@ -155,8 +160,8 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
     time from its saved initial amplitudes, reducing only the survivors.  Identical
     master seeds give bit-identical statistics.  Raises
     :class:`ResourceLimitError` before seeding if ``n_samples`` exceeds
-    ``ENSEMBLE_MEMBER_CAP`` or ``(steps + 1) * n_samples`` exceeds
-    ``ENSEMBLE_MEMBER_STEP_CAP``.
+    ``ENSEMBLE_MEMBER_CAP``, ``steps + 1`` exceeds ``TRAJECTORY_SAMPLE_CAP``
+    or ``(steps + 1) * n_samples`` exceeds ``ENSEMBLE_MEMBER_STEP_CAP``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -170,6 +175,11 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
         raise ResourceLimitError(
             f"ensemble of {n_samples} members exceeds the cap of "
             f"{ENSEMBLE_MEMBER_CAP} members"
+        )
+    if steps + 1 > TRAJECTORY_SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"ensemble of {steps + 1} samples exceeds the cap of "
+            f"{TRAJECTORY_SAMPLE_CAP} samples per trajectory"
         )
     if (steps + 1) * n_samples > ENSEMBLE_MEMBER_STEP_CAP:
         raise ResourceLimitError(

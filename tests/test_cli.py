@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opasim import quantum
 from opasim.cli import (
     SCENARIOS,
     SWEEPABLE_KEYS,
@@ -177,6 +178,22 @@ class TestScenarios:
             assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
         assert ((tmp_path / "fluorescence.csv").read_bytes()
                 == (tmp_path / "quantum.csv").read_bytes())
+
+    @pytest.mark.parametrize("scenario", ["quantum", "fluorescence"])
+    def test_exact_runs_never_assemble_states(self, tmp_path, monkeypatch,
+                                               scenario):
+        """The CSV and the summary come from the per-chain reduction; the
+        (samples, dim) state array is never built."""
+        def no_states(*args):
+            raise AssertionError("the state array was assembled")
+
+        monkeypatch.setattr(quantum, "_assemble_states", no_states)
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         f"scenario = {scenario}")
+        cfg = _write(tmp_path, "run.cfg", text + "d0 = 12\nd1 = 6\nd2 = 7\n")
+        assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        _, data = read_csv(tmp_path / f"{scenario}.csv")
+        assert data.shape[0] == 101
 
     @pytest.mark.parametrize("key", SWEEPABLE_KEYS)
     def test_sweep_point_is_the_meanfield_run_with_its_key_set(self, tmp_path, key):
@@ -383,6 +400,8 @@ class TestMainExitCodes:
         # one step keeps 2*10^6 + 1 members under the member-step cap
         ("thermal-ensemble", {"t_final = 1.0": "t_final = 0.01"},
          "n_samples = 2000001\n"),
+        # one member keeps 10^7 + 1 samples under the member-step cap
+        ("thermal-ensemble", {"dt = 0.01": "dt = 1e-7"}, "n_samples = 1\n"),
         ("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\nsweep_stop = 0.2\n"
          "sweep_count = 1000000000\n"),
         ("sweep", {}, "sweep_key = kappa\nsweep_start = 0.1\nsweep_stop = 0.2\n"
@@ -390,7 +409,8 @@ class TestMainExitCodes:
     ], ids=["ensemble-members", "meanfield-steps", "action-check-steps",
             "sweep-steps", "quantum-steps", "fluorescence-steps",
             "quantum-step-count-overflow", "ensemble-step-count-overflow",
-            "ensemble-member-count", "sweep-points", "sweep-points-beyond-int64"])
+            "ensemble-member-count", "ensemble-steps", "sweep-points",
+            "sweep-points-beyond-int64"])
     def test_run_size_cap_exits_4_before_allocating(self, tmp_path, capsys,
                                                     scenario, edits, extra):
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",

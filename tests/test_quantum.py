@@ -7,6 +7,8 @@ interaction's selection rule, the hyperbolic gain law of the linearized
 assembled Hamiltonian as the oracle for the charge-sector route.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
@@ -142,6 +144,14 @@ class TestEvolveState:
         with pytest.raises(ResourceLimitError, match="cap"):
             evolve_state(h, psi0, 1.0, 10 ** 12, dims=dims)
 
+    def test_sector_form_rejects_other_dims(self):
+        """The chains carry the Hamiltonian's own occupations."""
+        dims = TruncationDims(4, 5, 3)
+        h = system_hamiltonian(ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1), dims)
+        with pytest.raises(ValueError, match="do not match"):
+            evolve_state(h, basis_state(1, 2, 0, dims), 1.0, 2,
+                         dims=dims.swapped())
+
     def test_dimension_mismatch_rejected(self):
         dims = TruncationDims(2, 2, 2)
         params = ModeParams(2.0, 1.0, 1.0)
@@ -185,6 +195,9 @@ class TestSectorRoute:
                                        atol=1e-10)
             np.testing.assert_allclose(sector.expectations, oracle.expectations,
                                        atol=1e-10)
+            np.testing.assert_allclose(sector.norm_deviations,
+                                       oracle.norm_deviations, atol=1e-10)
+            np.testing.assert_allclose(sector.leakage, oracle.leakage, atol=1e-10)
 
     def test_propagator_above_dense_limit(self):
         """1320 states, past the dense-eigh size: matches expm_multiply."""
@@ -197,6 +210,48 @@ class TestSectorRoute:
             -1j * t * build_hamiltonian_sparse(params, dims), psi_a))
         value = propagator_exact(params, dims, alpha_a, alpha_b, t)
         assert abs(value - reference) < 1e-10
+
+    def test_states_assembled_on_demand(self):
+        """States read twice are equal.  With a phase on kappa' the gauge
+        phases are not 1, and the leakage still sums |psi|^2 of exactly
+        the assembled amplitudes."""
+        dims = TruncationDims(6, 7, 5)
+        params = ModeParams(2.0, 1.3, 0.7, kappa_mag=0.3, phi=self.PHI)
+        rng = np.random.default_rng(4)
+        psi0 = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+        result = evolve_state(system_hamiltonian(params, dims),
+                              psi0 / np.linalg.norm(psi0), 2.0, 9, dims=dims)
+        first = result.states.copy()
+        assert np.array_equal(result.states, first)
+        for k in range(9):
+            assert result.leakage[k] == top_level_population(first[k], dims)
+
+    def test_peak_memory_without_states(self):
+        """Observables alone hold a few bytes per sample x state entry.
+
+        The chains of one length are evolved at a time, so the peak grows
+        with the largest chain group (7.5% of 20^3 states, about 48 bytes
+        per entry of it) and the top-level populations (14% of the states,
+        8 bytes each): about 5.7 bytes per entry, measured.  A dense
+        (samples, dim) state array and its populations take at least 24.
+        """
+        dims = TruncationDims(20, 20, 20)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2, phi=0.3)
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+        psi0 /= np.linalg.norm(psi0)
+        h = system_hamiltonian(params, dims)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                evolve_state(h, psi0, 2.0, n_samples, dims=dims)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(10), peak(60)
+        assert many - few < 8 * 50 * dims.total
 
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
     def test_leakage_is_top_level_population(self):

@@ -13,7 +13,7 @@ import pytest
 
 from opasim import thermal as thermal_module
 from opasim.errors import DivergenceError, ResourceLimitError
-from opasim.fockspace import ENSEMBLE_MEMBER_CAP, ModeParams
+from opasim.fockspace import ENSEMBLE_MEMBER_CAP, TRAJECTORY_SAMPLE_CAP, ModeParams
 from opasim.meanfield import DIVERGENCE_LIMIT, MeanFieldState, integrate_rk4
 from opasim.thermal import (
     ThermalParams,
@@ -199,6 +199,18 @@ class TestFluorescenceEnsemble:
         with pytest.raises(ResourceLimitError, match="members exceeds"):
             fluorescence_ensemble(PARAMS, ThermalParams(1.0), 0.01, 0.01,
                                   ENSEMBLE_MEMBER_CAP + 1)
+
+    def test_step_cap_checked_before_seeding(self, monkeypatch):
+        """One member keeps the member-steps under their cap; the step
+        count alone must stop the run before any member is seeded."""
+        def no_seeding(*args):
+            raise AssertionError("a member was seeded")
+
+        monkeypatch.setattr(thermal_module, "_child_seed", no_seeding)
+        dt = 0.01
+        with pytest.raises(ResourceLimitError, match="samples per trajectory"):
+            fluorescence_ensemble(PARAMS, ThermalParams(1.0),
+                                  TRAJECTORY_SAMPLE_CAP * dt, dt, 1)
 
     def test_lazy_children_equal_spawned_list(self):
         seed, n = 1234, 50
