@@ -41,7 +41,6 @@ from .meanfield import (
 )
 from .pathintegral import (
     SlicedPath,
-    action_equivalence_check,
     classical_action,
     path_from_trajectory,
     product_propagator,
@@ -80,7 +79,6 @@ __all__ = [
     "Trajectory",
     "TruncationDims",
     "TruncationWarning",
-    "action_equivalence_check",
     "build_annihilation",
     "build_hamiltonian",
     "build_hamiltonian_sparse",

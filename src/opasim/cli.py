@@ -42,16 +42,6 @@ from .pathintegral import (
 from .quantum import evolve_state, system_hamiltonian
 from .thermal import ThermalParams, fluorescence_ensemble
 
-SCENARIOS = (
-    "meanfield",
-    "quantum",
-    "fluorescence",
-    "propagator-convergence",
-    "action-check",
-    "thermal-ensemble",
-    "sweep",
-)
-
 #: Keys a sweep may vary without breaking the frequency-matching constraint.
 SWEEPABLE_KEYS = (
     "kappa", "phi",
@@ -120,19 +110,6 @@ _KEY_SPECS: dict = {
     "output": (str, None),
 }
 
-#: keys that must be present per scenario, beyond 'scenario' itself.
-_SCENARIO_REQUIRES = {
-    "meanfield": ("t_final", "dt"),
-    "quantum": ("t_final", "dt"),
-    "fluorescence": ("t_final", "dt"),
-    "propagator-convergence": ("t_final",),
-    "action-check": ("t_final", "dt"),
-    "thermal-ensemble": ("t_final", "dt"),
-    "sweep": ("t_final", "dt", "sweep_key", "sweep_start",
-              "sweep_stop", "sweep_count"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated scenario configuration."""
@@ -200,7 +177,8 @@ def parse_config(text: str) -> RunConfig:
     if values["scenario"] is None:
         raise ConfigError("missing required key 'scenario'")
     scenario = values["scenario"]
-    for key in _SCENARIO_REQUIRES[scenario]:
+    requires = _SCENARIOS[scenario][1]
+    for key in requires:
         if values[key] is None:
             raise ConfigError(
                 f"missing required key {key!r} for scenario {scenario!r}"
@@ -245,7 +223,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"t_final must be > 0 to slice a path; set by {_lines_of('t_final')}"
         )
-    if "dt" in _SCENARIO_REQUIRES[scenario] and values["t_final"] < values["dt"]:
+    if "dt" in requires and values["t_final"] < values["dt"]:
         raise ConfigError(
             f"t_final must be at least dt; set by {_lines_of('t_final', 'dt')}"
         )
@@ -383,8 +361,7 @@ def _run_quantum(config: RunConfig, out_path: Path) -> ScenarioReport:
     h = system_hamiltonian(config.params, config.dims)
     psi0 = product_coherent_state(config.params.pump_alpha0, config.alpha1,
                                   config.alpha2, config.dims)
-    result = evolve_state(h, psi0, steps * config.dt, steps + 1,
-                          dims=config.dims)
+    result = evolve_state(h, psi0, steps * config.dt, steps + 1, config.dims)
     rows = zip(result.times, *result.expectations.T, result.norm_deviations,
                result.energies)
     header = ["t", "n0", "n1", "n2", "norm_dev", "energy"]
@@ -496,17 +473,21 @@ def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
     return ScenarioReport(outputs, [("sweep points", str(len(values)))], [], all_ok)
 
 
-_SCENARIO_RUNNERS = {
-    "meanfield": _run_meanfield,
-    "quantum": _run_quantum,
+#: scenario -> (runner, keys that must be present beyond 'scenario' itself).
+_SCENARIOS = {
+    "meanfield": (_run_meanfield, ("t_final", "dt")),
+    "quantum": (_run_quantum, ("t_final", "dt")),
     # fluorescence is the quantum run from vacuum signal and idler
-    "fluorescence": lambda config, out_path: _run_quantum(
-        replace(config, alpha1=0j, alpha2=0j), out_path),
-    "propagator-convergence": _run_propagator_convergence,
-    "action-check": _run_action_check,
-    "thermal-ensemble": _run_thermal_ensemble,
-    "sweep": _run_sweep,
+    "fluorescence": (lambda config, out_path: _run_quantum(
+        replace(config, alpha1=0j, alpha2=0j), out_path), ("t_final", "dt")),
+    "propagator-convergence": (_run_propagator_convergence, ("t_final",)),
+    "action-check": (_run_action_check, ("t_final", "dt")),
+    "thermal-ensemble": (_run_thermal_ensemble, ("t_final", "dt")),
+    "sweep": (_run_sweep, ("t_final", "dt", "sweep_key", "sweep_start",
+                           "sweep_stop", "sweep_count")),
 }
+
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run(config: RunConfig, output_dir: str | None = None,
@@ -518,7 +499,7 @@ def run(config: RunConfig, output_dir: str | None = None,
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = _SCENARIO_RUNNERS[config.scenario](config, out_path)
+        report = _SCENARIOS[config.scenario][0](config, out_path)
     report.notes.extend(str(w.message) for w in caught)
 
     if not quiet:

@@ -26,7 +26,7 @@ from scipy import sparse
 
 from .errors import ResourceLimitError, TruncationWarning
 
-#: Default bound on d0*d1*d2, guarding against accidental huge allocations.
+#: Bound on d0*d1*d2, guarding against accidental huge allocations.
 DEFAULT_DIM_CAP = 262144
 
 #: Bound on the samples (steps + 1) of one mean-field trajectory, and of
@@ -70,16 +70,15 @@ class TruncationDims:
     d0: int
     d1: int
     d2: int
-    cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         for name in ("d0", "d1", "d2"):
             d = getattr(self, name)
             if not isinstance(d, (int, np.integer)) or d < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {d!r}")
-        if self.total > self.cap:
+        if self.total > DEFAULT_DIM_CAP:
             raise ResourceLimitError(
-                f"total dimension {self.total} exceeds cap {self.cap}"
+                f"total dimension {self.total} exceeds cap {DEFAULT_DIM_CAP}"
             )
 
     @property
@@ -92,7 +91,7 @@ class TruncationDims:
 
     def swapped(self) -> "TruncationDims":
         """Dims with the signal and idler truncations exchanged."""
-        return TruncationDims(self.d0, self.d2, self.d1, self.cap)
+        return TruncationDims(self.d0, self.d2, self.d1)
 
 
 @dataclass(frozen=True)
@@ -158,13 +157,6 @@ def build_annihilation(d: int) -> np.ndarray:
     ns = np.arange(1, d)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def number_operator(d: int) -> np.ndarray:
-    """Single-mode number operator diag(0, 1, ..., d-1)."""
-    if d < 2:
-        raise ValueError(f"ladder dimension must be >= 2, got {d!r}")
-    return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def embed_mode(op: np.ndarray, mode_index: int, dims: TruncationDims) -> np.ndarray:
@@ -237,8 +229,7 @@ def _hamiltonian_pieces(params: ModeParams, dims: TruncationDims):
     return diag, rows, cols, vals
 
 
-def build_hamiltonian(params: ModeParams, dims: TruncationDims,
-                      dense_limit: int = DENSE_OPERATOR_LIMIT) -> np.ndarray:
+def build_hamiltonian(params: ModeParams, dims: TruncationDims) -> np.ndarray:
     """Dense three-mode Hamiltonian.
 
     H = omega0*n0 + omega1*n1 + omega2*n2
@@ -246,12 +237,13 @@ def build_hamiltonian(params: ModeParams, dims: TruncationDims,
 
     optionally plus the constant (omega0 + omega1 + omega2)/2 on the
     diagonal when ``params.include_zero_point`` is set.  Hermitian by
-    construction.
+    construction.  Raises :class:`ResourceLimitError` above
+    ``DENSE_OPERATOR_LIMIT`` states.
     """
-    if dims.total > dense_limit:
+    if dims.total > DENSE_OPERATOR_LIMIT:
         raise ResourceLimitError(
             f"dense Hamiltonian of dimension {dims.total} exceeds the dense "
-            f"limit {dense_limit}; use build_hamiltonian_sparse"
+            f"limit {DENSE_OPERATOR_LIMIT}; use build_hamiltonian_sparse"
         )
     diag, rows, cols, vals = _hamiltonian_pieces(params, dims)
     h = np.zeros((dims.total, dims.total), dtype=complex)

@@ -49,13 +49,13 @@ class MeanFieldState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled mean-field evolution starting at ``t0``.
+    """Uniformly sampled mean-field evolution.
 
     ``samples`` is an (n+1, 3) complex array; row k holds (alpha0, alpha1,
-    alpha2) at ``t0 + k * dt``.
+    alpha2) at time ``k * dt``.  The equations do not depend on time, so
+    the trajectory starts at t = 0.
     """
 
-    t0: float
     dt: float
     samples: np.ndarray
 
@@ -71,10 +71,10 @@ class Trajectory:
 
     @property
     def t_final(self) -> float:
-        return self.t0 + (len(self.samples) - 1) * self.dt
+        return (len(self.samples) - 1) * self.dt
 
     def times(self) -> list[float]:
-        return [self.t0 + k * self.dt for k in range(len(self.samples))]
+        return [k * self.dt for k in range(len(self.samples))]
 
 
 def num_steps(t_final: float, dt: float) -> int:
@@ -165,7 +165,7 @@ def integrate_rk4(s0: MeanFieldState, params: ModeParams,
             )
         extend(a)
     samples = np.array(flat, dtype=complex).reshape(steps + 1, 3)
-    return Trajectory(t0=0.0, dt=dt, samples=samples)
+    return Trajectory(dt=dt, samples=samples)
 
 
 def manley_rowe(s: MeanFieldState) -> tuple[float, float, float]:

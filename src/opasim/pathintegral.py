@@ -36,15 +36,15 @@ Triple = tuple[complex, complex, complex]
 
 @dataclass(frozen=True)
 class SlicedPath:
-    """Coherent labels along a discretized path on [t_a, t_b].
+    """Coherent labels along a discretized path of duration ``t``.
 
     ``labels`` has shape (n+1, 3) for n >= 1 slices; rows 0 and n are the
     fixed endpoints, interior rows are integration variables of the
-    underlying functional integral.
+    underlying functional integral.  The Hamiltonian does not depend on
+    time, so only the duration enters.
     """
 
-    t_a: float
-    t_b: float
+    t: float
     labels: np.ndarray
 
     def __post_init__(self):
@@ -55,8 +55,8 @@ class SlicedPath:
             )
         if not np.all(np.isfinite(labels)):
             raise ValueError("path labels must be finite")
-        if not self.t_b > self.t_a:
-            raise ValueError(f"need t_b > t_a, got [{self.t_a}, {self.t_b}]")
+        if not self.t > 0:
+            raise ValueError(f"duration t must be > 0, got {self.t}")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -65,13 +65,12 @@ class SlicedPath:
 
     @property
     def eta(self) -> float:
-        return (self.t_b - self.t_a) / self.n_slices
+        return self.t / self.n_slices
 
 
-def path_from_trajectory(traj: Trajectory, t_a: float = 0.0) -> SlicedPath:
+def path_from_trajectory(traj: Trajectory) -> SlicedPath:
     """Reinterpret a mean-field trajectory as a sliced path skeleton."""
-    span = traj.dt * (len(traj.samples) - 1)
-    return SlicedPath(t_a=t_a, t_b=t_a + span, labels=traj.samples)
+    return SlicedPath(t=traj.dt * (len(traj.samples) - 1), labels=traj.samples)
 
 
 def free_propagator_closed_form(alpha_a: complex, alpha_b: complex,
@@ -95,7 +94,7 @@ def free_mode_path(alpha: complex, omega: float, t: float, n: int,
     labels[:, 0] = alpha * np.exp(-1j * omega * ts)
     if pinned_end is not None:
         labels[-1, 0] = pinned_end
-    return SlicedPath(t_a=0.0, t_b=t, labels=labels)
+    return SlicedPath(t=t, labels=labels)
 
 
 def _slice_kernels(labels: np.ndarray, eta: float, params: ModeParams) -> np.ndarray:
@@ -214,12 +213,6 @@ def lagrangian_difference(path: SlicedPath, params: ModeParams,
     alt = (_free_lagrangian(path, params)
            + 2.0 * np.real(eta_param * _interaction_term(path)))
     return np.abs(base - alt)
-
-
-def action_equivalence_check(path: SlicedPath, params: ModeParams,
-                             eta_param: complex) -> float:
-    """Max pointwise gap between the two interaction conventions on a path."""
-    return float(np.max(lagrangian_difference(path, params, eta_param)))
 
 
 @dataclass(frozen=True)

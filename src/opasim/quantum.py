@@ -50,6 +50,11 @@ NORM_TOL = 1e-9
 #: Top-Fock-level population above which truncation leakage is flagged.
 LEAKAGE_TOL = 1e-6
 
+#: Points per axis and half-width of the coherent-label grid on which
+#: :func:`chain_rule_compose` resolves the identity.
+COMPOSE_GRID_POINTS = 41
+COMPOSE_GRID_RADIUS = 4.0
+
 
 @dataclass
 class EvolutionResult:
@@ -57,11 +62,11 @@ class EvolutionResult:
 
     ``expectations[k]`` holds (<n0>, <n1>, <n2>) at ``times[k]``,
     ``energies[k]`` is <H> and ``norm_deviations[k]`` is | ||psi|| - 1 |.
-    ``leakage[k]`` is the population on any mode's top Fock level (zeros
-    when the evolution had no ``dims``).  ``warnings`` collects truncation
-    diagnostics.  ``states[k]``, the state at ``times[k]``, is built by
-    ``assemble`` on first read and kept: the charge-sector route computes
-    the observables without it and assembles it only when asked.
+    ``leakage[k]`` is the population on any mode's top Fock level.
+    ``warnings`` collects truncation diagnostics.  ``states[k]``, the state
+    at ``times[k]``, is built by ``assemble`` on first read and kept: the
+    charge-sector route computes the observables without it and assembles
+    it only when asked.
     """
 
     times: np.ndarray
@@ -86,7 +91,7 @@ def _check_hermitian(h) -> None:
         dev = abs(h - h.conjugate().transpose()).max()
     else:
         dev = np.max(np.abs(h - h.conj().T))
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN entries fail the comparison
         raise ValueError(f"Hamiltonian is not Hermitian: max|H - H^+| = {dev:.3g}")
 
 
@@ -105,13 +110,10 @@ def _propagate(h, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
         coeff = vectors.conj().T @ psi0
         phases = np.exp(-1j * np.outer(times, energies))
         return (phases * coeff) @ vectors.T
-    h_csr = sparse.csr_matrix(h)
-    if len(times) == 1:
-        if times[0] == 0.0:
-            return psi0[np.newaxis, :].copy()
-        return np.asarray(expm_multiply(-1j * times[0] * h_csr, psi0))[np.newaxis, :]
+    if len(times) == 1:  # the grid is [0.0]
+        return psi0[np.newaxis, :].copy()
     out = expm_multiply(
-        -1j * h_csr, psi0,
+        -1j * sparse.csr_matrix(h), psi0,
         start=times[0], stop=times[-1], num=len(times), endpoint=True,
     )
     return np.asarray(out)
@@ -270,32 +272,33 @@ def top_level_population(psi: np.ndarray, dims: TruncationDims) -> float:
 
 
 def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
-                 dims: TruncationDims | None = None) -> EvolutionResult:
+                 dims: TruncationDims) -> EvolutionResult:
     """Evolve ``psi0`` under ``h`` and sample uniformly on [0, t_final].
 
     ``h`` may be the charge-sector form from :func:`system_hamiltonian`,
     a dense array or a scipy sparse matrix; the latter two must be
-    Hermitian to ``HERMITICITY_TOL``.  When ``dims`` is given, per-mode
-    occupation expectations and the top-level population are recorded,
-    and truncation-boundary leakage is monitored (population of any top
+    Hermitian to ``HERMITICITY_TOL``.  Per-mode occupation expectations
+    and the top-level population on ``dims`` are recorded, and
+    truncation-boundary leakage is monitored (population of any top
     Fock level above ``LEAKAGE_TOL`` attaches a warning to the result).
     For the charge-sector form ``dims`` must be the Hamiltonian's own, the
     observables are reduced chain by chain, and the result's ``states``
     are assembled from the chains only if they are read.  The other forms
     compute the states first and take the observables from them.  Raises
+    :class:`ValueError` for a negative or non-finite ``t_final`` and
     :class:`ResourceLimitError` before allocating if the samples would
     hold more than ``STATE_SAMPLE_CAP`` state entries.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if t_final < 0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
+    if not 0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if h.shape[0] != h.shape[1] or h.shape[0] != psi0.shape[0]:
         raise ValueError(
             f"dimension mismatch: H is {h.shape}, state has length {psi0.shape[0]}"
         )
-    if dims is not None and dims.total != psi0.shape[0]:
+    if dims.total != psi0.shape[0]:
         raise ValueError(
             f"dims.total = {dims.total} does not match state length {psi0.shape[0]}"
         )
@@ -306,8 +309,7 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
         )
     times = np.linspace(0.0, t_final, n_samples)
     if isinstance(h, SectorHamiltonian):
-        if dims is not None and (dims.d0, dims.d1, dims.d2) != (
-                h.dims.d0, h.dims.d1, h.dims.d2):
+        if dims != h.dims:
             raise ValueError(f"dims {dims} do not match the Hamiltonian's {h.dims}")
         step = times[1] if n_samples > 1 else 0.0
         moments, top = _reduce_chains(h, psi0, step, n_samples)
@@ -322,31 +324,27 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
         energies = np.real(np.sum(states.conj() * _apply(h, states), axis=1))
         probs = np.abs(states) ** 2
         norm_sq = np.sum(probs, axis=1)
-        if dims is not None:
-            n0, n1, n2 = occupation_arrays(dims)
-            occupations = np.stack([probs @ n0, probs @ n1, probs @ n2], axis=1)
-            leakage = np.sum(probs[:, _boundary_mask(dims)], axis=1)
+        n0, n1, n2 = occupation_arrays(dims)
+        occupations = np.stack([probs @ n0, probs @ n1, probs @ n2], axis=1)
+        leakage = np.sum(probs[:, _boundary_mask(dims)], axis=1)
 
         def assemble():
             return states
 
     norm_dev = np.abs(np.sqrt(norm_sq) - 1.0)
-    if np.max(norm_dev) > NORM_TOL:
+    # NaN fails the comparison, so a NaN norm trips the guard
+    if not np.max(norm_dev) <= NORM_TOL:
         raise DivergenceError(
             f"evolution lost unitarity: max | ||psi|| - 1 | = {np.max(norm_dev):.3g}"
         )
 
     notes: list[str] = []
-    if dims is not None:
-        expectations = np.maximum(occupations, 0.0)
-        if np.max(leakage) > LEAKAGE_TOL:
-            notes.append(
-                f"truncation-boundary population reached {np.max(leakage):.3g}; "
-                "conserved-charge diagnostics may be unreliable"
-            )
-    else:
-        expectations = np.zeros((n_samples, 3))
-        leakage = np.zeros(n_samples)
+    expectations = np.maximum(occupations, 0.0)
+    if np.max(leakage) > LEAKAGE_TOL:
+        notes.append(
+            f"truncation-boundary population reached {np.max(leakage):.3g}; "
+            "conserved-charge diagnostics may be unreliable"
+        )
 
     return EvolutionResult(times=times, expectations=expectations,
                            energies=energies, norm_deviations=norm_dev,
@@ -369,7 +367,12 @@ def propagator_exact(params: ModeParams, dims: TruncationDims,
                      alpha_a: tuple[complex, complex, complex],
                      alpha_b: tuple[complex, complex, complex],
                      t: float) -> complex:
-    """Exact truncated-space transition amplitude <alpha_b| e^{-iHt} |alpha_a>."""
+    """Exact truncated-space transition amplitude <alpha_b| e^{-iHt} |alpha_a>.
+
+    Raises :class:`ValueError` for a non-finite ``t``.
+    """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     psi_a = product_coherent_state(*alpha_a, dims)
     psi_b = product_coherent_state(*alpha_b, dims)
     states = _assemble_states(system_hamiltonian(params, dims), psi_a, t, 2)
@@ -385,7 +388,7 @@ def fluorescence_from_vacuum(params: ModeParams, dims: TruncationDims,
     """
     psi0 = product_coherent_state(params.pump_alpha0, 0.0, 0.0, dims)
     h = system_hamiltonian(params, dims)
-    return evolve_state(h, psi0, t_final, n_samples, dims=dims)
+    return evolve_state(h, psi0, t_final, n_samples, dims)
 
 
 def single_mode_propagator(omega: float, alpha_a: complex, alpha_b: complex,
@@ -398,20 +401,20 @@ def single_mode_propagator(omega: float, alpha_a: complex, alpha_b: complex,
 
 
 def chain_rule_compose(omega: float, alpha_a: complex, alpha_b: complex,
-                       t: float, d: int, grid_points: int = 41,
-                       grid_radius: float = 4.0) -> complex:
+                       t: float, d: int) -> complex:
     """Single-mode propagator rebuilt by resolving the identity at t/2.
 
     Approximates
 
         integral d^2 beta / pi  <alpha_b|U(t/2)|beta> <beta|U(t/2)|alpha_a>
 
-    on a square Re/Im grid of coherent labels.  The grid states enter raw
-    (unnormalized): the identity resolution holds for the truncated Gaussian
-    amplitudes as they are, and renormalizing them would re-weight the
-    poorly-truncated corners of the grid.
+    on the square Re/Im grid of coherent labels set by
+    ``COMPOSE_GRID_POINTS`` and ``COMPOSE_GRID_RADIUS``.  The grid states
+    enter raw (unnormalized): the identity resolution holds for the
+    truncated Gaussian amplitudes as they are, and renormalizing them would
+    re-weight the poorly-truncated corners of the grid.
     """
-    xs = np.linspace(-grid_radius, grid_radius, grid_points)
+    xs = np.linspace(-COMPOSE_GRID_RADIUS, COMPOSE_GRID_RADIUS, COMPOSE_GRID_POINTS)
     step = xs[1] - xs[0]
     betas = (xs[:, None] + 1j * xs[None, :]).ravel()
     grid = np.array([coherent_amplitudes(beta, d) for beta in betas])

@@ -218,17 +218,17 @@ class TestSymmetries:
 
 class TestTrajectoryType:
     def test_uniform_grid_metadata(self):
-        traj = Trajectory(t0=0.0, dt=0.5, samples=np.zeros((5, 3), dtype=complex))
+        traj = Trajectory(dt=0.5, samples=np.zeros((5, 3), dtype=complex))
         assert traj.t_final == 2.0
         assert traj.times() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Trajectory(t0=0.0, dt=-0.1, samples=np.zeros((3, 3)))
+            Trajectory(dt=-0.1, samples=np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            Trajectory(t0=0.0, dt=0.1, samples=np.zeros((1, 3)))
+            Trajectory(dt=0.1, samples=np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            Trajectory(t0=0.0, dt=0.1, samples=np.zeros((4, 2)))
+            Trajectory(dt=0.1, samples=np.zeros((4, 2)))
 
     def test_integrated_samples_are_one_complex_array(self):
         traj = integrate_rk4(MeanFieldState(1.0, 0.5j, 0.0), PARAMS, 0.05, 0.01)

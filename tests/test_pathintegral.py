@@ -18,10 +18,10 @@ from opasim.pathintegral import (
     LOG_OVERFLOW_LIMIT,
     SlicedPath,
     _slice_kernels,
-    action_equivalence_check,
     classical_action,
     free_mode_path,
     free_propagator_closed_form,
+    lagrangian_difference,
     path_from_trajectory,
     product_propagator,
     slice_kernel,
@@ -33,10 +33,10 @@ PARAMS = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2, phi=0.4)
 FREE = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0)
 
 
-def random_path(rng, n, scale=0.8, t_b=1.0):
+def random_path(rng, n, scale=0.8, t=1.0):
     labels = scale * (rng.normal(size=(n + 1, 3))
                       + 1j * rng.normal(size=(n + 1, 3)))
-    return SlicedPath(t_a=0.0, t_b=t_b, labels=labels)
+    return SlicedPath(t=t, labels=labels)
 
 
 def looped_product(path, params):
@@ -61,7 +61,7 @@ def alternating_path(n, eta=1e-3):
     about 1 per slice."""
     a = np.array([0.5, 0.5j, 0.0])
     signs = (-1.0) ** np.arange(n + 1)
-    return SlicedPath(0.0, n * eta, signs[:, None] * a)
+    return SlicedPath(n * eta, signs[:, None] * a)
 
 
 class TestSliceKernel:
@@ -100,7 +100,7 @@ class TestSliceKernel:
 
     def test_coarse_step_warning_names_the_caller(self):
         """Both entry points warn at the line that called them."""
-        coarse = SlicedPath(0.0, 0.4, np.full((3, 3), 0.1, dtype=complex))
+        coarse = SlicedPath(0.4, np.full((3, 3), 0.1, dtype=complex))
         with pytest.warns(CoarseStepWarning) as record:
             slice_kernel((0.1, 0, 0), (0.1, 0, 0), 0.2, PARAMS)
             product_propagator(coarse, PARAMS)
@@ -122,12 +122,12 @@ class TestProductPropagator:
         # eta*omega0 = 2/n exceeds 0.1 at n = 1 and 5
         with pytest.warns(CoarseStepWarning):
             for n in (1, 5, 128):
-                path = SlicedPath(0.0, 1.0, np.zeros((n + 1, 3), dtype=complex))
+                path = SlicedPath(1.0, np.zeros((n + 1, 3), dtype=complex))
                 assert product_propagator(path, PARAMS) == 1.0
 
     def test_single_slice_equals_kernel(self):
         rng = np.random.default_rng(3)
-        path = random_path(rng, 1, t_b=0.01)
+        path = random_path(rng, 1, t=0.01)
         kernel = slice_kernel(tuple(path.labels[0]), tuple(path.labels[1]),
                               0.01, PARAMS)
         assert product_propagator(path, PARAMS) == kernel
@@ -136,7 +136,7 @@ class TestProductPropagator:
         """Random, RK4 and pinned free paths: the same value and sign bits
         as multiplying the kernels one slice at a time."""
         rng = np.random.default_rng(21)
-        paths = [random_path(rng, n, scale=0.1, t_b=n * 1e-3)
+        paths = [random_path(rng, n, scale=0.1, t=n * 1e-3)
                  for n in (1, 2, 7, 64, 1000, 4097)]
         for dt in (1e-2, 1e-3):
             start = MeanFieldState(1.2 - 0.3j, 0.4 + 0.1j, -0.2j)
@@ -181,7 +181,7 @@ class TestProductPropagator:
         labels = np.zeros((3, 3), dtype=complex)
         labels[1, 0] = 45.0  # overlap magnitude e^{-45^2/2} underflows
         with pytest.raises(DivergenceError):
-            product_propagator(SlicedPath(0.0, 1e-3, labels), PARAMS)
+            product_propagator(SlicedPath(1e-3, labels), PARAMS)
 
     def test_overflow_guard_is_cumulative(self):
         """No single slice comes near the limit; the running sum of 690
@@ -200,7 +200,7 @@ class TestProductPropagator:
         labels = np.zeros((312, 3), dtype=complex)
         labels[:, 0] = np.sqrt(500.0)
         labels[-1, 0] -= 10.0
-        path = SlicedPath(0.0, 3.11, labels)
+        path = SlicedPath(3.11, labels)
         magnitudes = np.abs(_slice_kernels(path.labels, path.eta, FREE))
         assert abs(np.sum(np.log(magnitudes))) < LOG_OVERFLOW_LIMIT
         for product in (product_propagator, looped_product):
@@ -210,7 +210,7 @@ class TestProductPropagator:
 
 class TestClassicalAction:
     def test_static_vacuum_path(self):
-        path = SlicedPath(0.0, 1.0, np.zeros((11, 3), dtype=complex))
+        path = SlicedPath(1.0, np.zeros((11, 3), dtype=complex))
         assert classical_action(path, PARAMS) == 0.0
 
     def test_free_classical_path_action_vanishes(self):
@@ -232,8 +232,8 @@ class TestClassicalAction:
         path = path_from_trajectory(traj)
         labels = path.labels
         mid = 40
-        first = SlicedPath(0.0, mid * 1e-2, labels[:mid + 1])
-        second = SlicedPath(mid * 1e-2, 1.0, labels[mid:])
+        first = SlicedPath(mid * 1e-2, labels[:mid + 1])
+        second = SlicedPath(1.0 - mid * 1e-2, labels[mid:])
         total = classical_action(path, PARAMS)
         split_sum = classical_action(first, PARAMS) + classical_action(second, PARAMS)
         assert abs(total - split_sum) < 1e-10
@@ -257,10 +257,10 @@ class TestClassicalAction:
                 for direction in (1.0, 1j):
                     bumped = labels.copy()
                     bumped[j, mode] += eps * direction
-                    plus = classical_action(SlicedPath(0.0, 0.5, bumped), PARAMS)
+                    plus = classical_action(SlicedPath(0.5, bumped), PARAMS)
                     bumped = labels.copy()
                     bumped[j, mode] -= eps * direction
-                    minus = classical_action(SlicedPath(0.0, 0.5, bumped), PARAMS)
+                    minus = classical_action(SlicedPath(0.5, bumped), PARAMS)
                     grad.append((plus - minus) / (2 * eps))
         probed = len(range(1, labels.shape[0] - 1, 10)) * 6
         full_count = (labels.shape[0] - 2) * 6
@@ -283,9 +283,9 @@ class TestClassicalAction:
         base = classical_action(path, PARAMS)
         for eps in (1e-3, 1e-4):
             plus = classical_action(
-                SlicedPath(0.0, 1.0, path.labels + eps * bump), PARAMS)
+                SlicedPath(1.0, path.labels + eps * bump), PARAMS)
             minus = classical_action(
-                SlicedPath(0.0, 1.0, path.labels - eps * bump), PARAMS)
+                SlicedPath(1.0, path.labels - eps * bump), PARAMS)
             first_order = abs(plus - minus) / (2 * eps)
             quadratic = abs(plus + minus - 2 * base) / eps ** 2
             assert first_order < 1e-6 * bump_norm
@@ -299,18 +299,18 @@ class TestActionEquivalence:
         rng = np.random.default_rng(2)
         for _ in range(20):
             path = random_path(rng, 16)
-            gap = action_equivalence_check(path, PARAMS, -PARAMS.kappa_prime)
+            gap = lagrangian_difference(path, PARAMS, -PARAMS.kappa_prime).max()
             assert gap < 1e-12
 
     def test_zero_when_uncoupled(self):
         rng = np.random.default_rng(4)
         path = random_path(rng, 8)
-        assert action_equivalence_check(path, FREE, 0j) == 0.0
+        assert lagrangian_difference(path, FREE, 0j).max() == 0.0
 
     def test_positive_for_flipped_sign(self):
         rng = np.random.default_rng(6)
         path = random_path(rng, 8)
-        assert action_equivalence_check(path, PARAMS, PARAMS.kappa_prime) > 1e-3
+        assert lagrangian_difference(path, PARAMS, PARAMS.kappa_prime).max() > 1e-3
 
 
 class TestStationaryPropagator:
@@ -357,16 +357,16 @@ class TestStationaryPropagator:
 class TestSlicedPathType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SlicedPath(0.0, 1.0, np.zeros((1, 3), dtype=complex))
+            SlicedPath(1.0, np.zeros((1, 3), dtype=complex))
         with pytest.raises(ValueError):
-            SlicedPath(0.0, 1.0, np.zeros((4, 2), dtype=complex))
-        with pytest.raises(ValueError):
-            SlicedPath(1.0, 1.0, np.zeros((4, 3), dtype=complex))
+            SlicedPath(1.0, np.zeros((4, 2), dtype=complex))
+        for t in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="duration"):
+                SlicedPath(t, np.zeros((4, 3), dtype=complex))
 
     def test_from_trajectory_metadata(self):
         traj = integrate_rk4(MeanFieldState(1.0, 0.1, 0.0), PARAMS, 0.5, 0.01)
-        path = path_from_trajectory(traj, t_a=2.0)
-        assert path.t_a == 2.0
-        assert path.t_b == pytest.approx(2.5)
+        path = path_from_trajectory(traj)
+        assert path.t == pytest.approx(0.5)
         assert path.n_slices == 50
         assert path.eta == pytest.approx(0.01)

@@ -11,9 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from opasim.errors import ResourceLimitError, TruncationWarning
+from opasim.errors import DivergenceError, ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
     ModeParams,
     TruncationDims,
@@ -133,9 +134,40 @@ class TestEvolveState:
         np.testing.assert_allclose(sparse_res.states, dense.states, atol=1e-10)
 
     def test_non_hermitian_rejected(self):
-        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            evolve_state(h, np.array([1.0, 0.0], dtype=complex), 1.0, 2)
+        """An asymmetric H, and one with a NaN entry, dense and sparse."""
+        dims = TruncationDims(2, 2, 2)
+        asymmetric = np.zeros((8, 8), dtype=complex)
+        asymmetric[0, 1] = 1.0
+        not_a_number = np.diag(np.arange(8.0)).astype(complex)
+        not_a_number[3, 3] = np.nan
+        for h in (asymmetric, not_a_number):
+            for form in (h, csr_matrix(h)):
+                with pytest.raises(ValueError, match="Hermitian"):
+                    evolve_state(form, basis_state(0, 0, 0, dims), 1.0, 2,
+                                 dims=dims)
+
+    @pytest.mark.parametrize("form", ["sector", "dense"])
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, form, t_final):
+        """A NaN or infinite duration raises instead of returning NaN
+        observables past the unitarity guard."""
+        dims = TruncationDims(4, 4, 4)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2)
+        h = (system_hamiltonian(params, dims) if form == "sector"
+             else build_hamiltonian(params, dims))
+        with pytest.raises(ValueError, match="finite"):
+            evolve_state(h, basis_state(1, 0, 0, dims), t_final, 3, dims=dims)
+
+    @pytest.mark.parametrize("form", ["sector", "dense"])
+    def test_nan_state_trips_unitarity_guard(self, form):
+        dims = TruncationDims(4, 4, 4)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2)
+        h = (system_hamiltonian(params, dims) if form == "sector"
+             else build_hamiltonian(params, dims))
+        psi0 = basis_state(1, 0, 0, dims)
+        psi0[0] = np.nan
+        with pytest.raises(DivergenceError, match="unitarity"):
+            evolve_state(h, psi0, 1.0, 3, dims=dims)
 
     def test_sample_cap_checked_before_allocating(self):
         dims = TruncationDims(8, 8, 8)
@@ -157,7 +189,7 @@ class TestEvolveState:
         params = ModeParams(2.0, 1.0, 1.0)
         h = build_hamiltonian(params, dims)
         with pytest.raises(ValueError, match="mismatch"):
-            evolve_state(h, np.zeros(4, dtype=complex), 1.0, 2)
+            evolve_state(h, np.zeros(4, dtype=complex), 1.0, 2, dims=dims)
 
 
 class TestSectorRoute:
@@ -295,6 +327,13 @@ class TestPropagatorExact:
         labels = (0.5, 0.3j, -0.2)
         value = propagator_exact(params, dims, labels, labels, 0.0)
         assert value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        dims = TruncationDims(4, 4, 4)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2)
+        with pytest.raises(ValueError, match="finite"):
+            propagator_exact(params, dims, (0.5, 0, 0), (0.5, 0, 0), t)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0 + 0.5j, 1.5])
     def test_free_single_mode_closed_form(self, alpha):
