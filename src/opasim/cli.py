@@ -3,7 +3,10 @@
 Configurations are flat, line-oriented ``key = value`` text with ``#``
 comments.  Every scenario writes its CSV artifacts atomically (temp file
 plus rename) and prints a summary block with invariant diagnostics; runs
-are byte-reproducible for identical configuration and seed.
+are byte-reproducible for identical configuration and seed.  The
+``quantum`` and ``fluorescence`` CSVs are so only at a fixed BLAS thread
+count: their per-sample sums (``quantum._reduce_chains``) are matrix
+products, whose rounding depends on how BLAS splits them over threads.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric divergence or an
 invariant diagnostic above threshold, 4 resource cap exceeded, 5 I/O error.

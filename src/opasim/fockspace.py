@@ -20,11 +20,14 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ResourceLimitError, TruncationWarning
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Bound on d0*d1*d2, guarding against accidental huge allocations.
 DEFAULT_DIM_CAP = 262144
@@ -47,10 +50,11 @@ ENSEMBLE_MEMBER_CAP = 2_000_000
 SWEEP_POINT_CAP = 10_000
 
 #: Bound on samples * d0*d1*d2 of one exact evolution.  A CLI run reduces
-#: its observables chain by chain and never builds the state array (16
-#: bytes per entry): measured at the cap, it peaks about 3 bytes per entry
-#: above the import at d = 64 and 13 at d = 10, and up to 38 at d = 3,
-#: where one chain length holds a large share of the states.
+#: its observables chain by chain, in chunks of samples, and never builds
+#: the state array (16 bytes per entry): measured at the cap, it peaks
+#: about 2 bytes per entry above the import at d = 64, 4 at d = 10 and 9.5
+#: at d = 3, most of it the per-sample populations of the top-level states
+#: (8 bytes each), which are nearly all states at d = 3.
 STATE_SAMPLE_CAP = 20_000_000
 
 #: Largest total dimension for which dense operator matrices are built.
@@ -254,6 +258,8 @@ def build_hamiltonian(params: ModeParams, dims: TruncationDims) -> np.ndarray:
 
 def build_hamiltonian_sparse(params: ModeParams, dims: TruncationDims) -> sparse.csr_matrix:
     """CSR version of :func:`build_hamiltonian` for Krylov propagation."""
+    from scipy import sparse  # only the oracle needs scipy; keep it off the CLI's import
+
     diag, rows, cols, vals = _hamiltonian_pieces(params, dims)
     n = dims.total
     all_rows = np.concatenate([np.arange(n), rows])

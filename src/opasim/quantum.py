@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import DivergenceError, ResourceLimitError
 from .fockspace import (
@@ -49,6 +47,12 @@ NORM_TOL = 1e-9
 
 #: Top-Fock-level population above which truncation leakage is flagged.
 LEAKAGE_TOL = 1e-6
+
+#: Bound on the bytes of one evolved block (chains x length x samples,
+#: complex) of the charge-sector route; longer sample axes are evolved in
+#: chunks.  The largest block of any op in ``perfbench`` is 1.23 MB, so
+#: those run as one chunk.
+CHAIN_BLOCK_BYTES = 4 * 2**20
 
 #: Points per axis and half-width of the coherent-label grid on which
 #: :func:`chain_rule_compose` resolves the identity.
@@ -86,7 +90,14 @@ class EvolutionResult:
         return float(np.max(self.norm_deviations))
 
 
+# The eigh/Krylov helpers below are the charge-sector route's oracle and
+# import scipy when called, so the CLI, which never calls them, runs on
+# numpy alone.
+
+
 def _check_hermitian(h) -> None:
+    from scipy import sparse
+
     if sparse.issparse(h):
         dev = abs(h - h.conjugate().transpose()).max()
     else:
@@ -97,6 +108,8 @@ def _check_hermitian(h) -> None:
 
 def _apply(h, states: np.ndarray) -> np.ndarray:
     """H applied to a stack of row states, returning the same layout."""
+    from scipy import sparse
+
     if sparse.issparse(h):
         return (h @ states.T).T
     return states @ np.asarray(h).T
@@ -104,6 +117,9 @@ def _apply(h, states: np.ndarray) -> np.ndarray:
 
 def _propagate(h, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States exp(-i H t_k) psi0 for a uniform, ascending time grid."""
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
     dim = psi0.shape[0]
     if not sparse.issparse(h) and dim <= EIGH_DIM_LIMIT:
         energies, vectors = np.linalg.eigh(h)
@@ -173,13 +189,18 @@ def _evolved_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
                     n_samples: int):
     """The chains of psi0 evolved to the times k step, k < n_samples.
 
-    Yields ``(index, occupations, diagonal, coupling, frame, amplitudes)``
-    once per chain length, for the chains on which psi0 does not vanish
-    (the others stay zero).  Those chains are diagonalised together, and
-    the phases of sample k are the k-th powers of one step's phases.
-    ``amplitudes`` (m, L, n_samples) are the evolved basis amplitudes.
-    ``frame`` (m, L, 2 n_samples) holds the real and imaginary parts of the
-    same amplitudes in the gauge conj(kappa'/|kappa'|)^j, where every chain
+    Yields ``(index, occupations, diagonal, coupling, samples, frame,
+    amplitudes)`` for the chains on which psi0 does not vanish (the others
+    stay zero), once per chain length and chunk of samples.  The chains of
+    one length are diagonalised together, and the phases of sample k are
+    the k-th powers of one step's phases.  The sample axis is cut into
+    even chunks whose evolved block stays within ``CHAIN_BLOCK_BYTES``, or
+    holds at most six samples where that is more.  Each chunk continues
+    the running product from the last sample of the chunk before, so the
+    amplitudes do not depend on the cut.  ``samples`` is the
+    chunk's slice of the sample axis and ``amplitudes`` (m, L, n) are its
+    n evolved basis amplitudes.  ``frame`` (m, L, 2 n) holds their real and
+    imaginary parts in the gauge conj(kappa'/|kappa'|)^j, where every chain
     is a real block, before the gauge phase is put back.
     """
     angle = -np.angle(h.params.kappa_prime)  # gauge exp(i angle j)
@@ -200,23 +221,36 @@ def _evolved_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
         block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = (
             abs(h.params.kappa_prime) * coupling)
         eigvals, vectors = np.linalg.eigh(block)
-        evolved = np.empty((m, length, n_samples), dtype=complex)
-        evolved[:, :, 0] = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
-        evolved[:, :, 1:] = np.exp(-1j * step * (eigvals + offset))[:, :, None]
-        np.cumprod(evolved, axis=2, out=evolved)
-        # real eigenvectors times complex amplitudes as one real matmul
-        frame = vectors @ evolved.view(float)
-        del evolved
-        yield (index, occupations, diagonal, coupling, frame,
-               frame.view(complex) * gauge[:, None])
+        phases = np.exp(-1j * step * (eigvals + offset))[:, :, None]
+        carry = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
+        # even chunks of at least three samples: numpy's cumprod multiplies
+        # a two-entry axis in a fused loop that rounds differently
+        n_chunks = -(-n_samples // max(6, CHAIN_BLOCK_BYTES // (16 * m * length)))
+        bounds = [n_samples * k // n_chunks for k in range(n_chunks + 1)]
+        for begin, stop in zip(bounds, bounds[1:]):
+            # column 0 is sample 0 in the first chunk and the last sample of
+            # the chunk before in later ones, which are yielded without it
+            low = max(begin - 1, 0)
+            evolved = np.empty((m, length, stop - low), dtype=complex)
+            evolved[:, :, 0] = carry
+            evolved[:, :, 1:] = phases
+            np.cumprod(evolved, axis=2, out=evolved)
+            carry = evolved[:, :, -1].copy()
+            # real eigenvectors times complex amplitudes as one real matmul
+            frame = vectors @ evolved[:, :, begin - low:].view(float)
+            del evolved
+            yield (index, occupations, diagonal, coupling, slice(begin, stop),
+                   frame, frame.view(complex) * gauge[:, None])
+            del frame  # so that the caller's del frees it before the next chunk
 
 
 def _assemble_states(h: SectorHamiltonian, psi0: np.ndarray, step: float,
                      n_samples: int) -> np.ndarray:
     """The (n_samples, dim) states exp(-i H k step) psi0, chain by chain."""
     states = np.zeros((n_samples, psi0.shape[0]), dtype=complex)
-    for index, *_, amplitudes in _evolved_chains(h, psi0, step, n_samples):
-        states[:, index.ravel()] = amplitudes.transpose(2, 0, 1).reshape(n_samples, -1)
+    for index, *_, samples, _, amplitudes in _evolved_chains(h, psi0, step, n_samples):
+        states[samples, index.ravel()] = amplitudes.transpose(2, 0, 1).reshape(
+            amplitudes.shape[2], -1)
     return states
 
 
@@ -239,19 +273,20 @@ def _reduce_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
     magnitude = abs(h.params.kappa_prime)
     moments = np.zeros((5, n_samples))
     top = np.zeros((n_samples, boundary.size))
-    for index, occupations, diagonal, coupling, frame, amplitudes in _evolved_chains(
-            h, psi0, step, n_samples):
+    for (index, occupations, diagonal, coupling, samples, frame,
+         amplitudes) in _evolved_chains(h, psi0, step, n_samples):
+        n = amplitudes.shape[2]
         weights = np.concatenate([np.ones_like(diagonal)[None], occupations,
                                   diagonal[None]]).reshape(5, -1)
-        sums = weights @ (frame * frame).reshape(weights.shape[1], 2 * n_samples)
-        moments += sums.reshape(5, n_samples, 2).sum(axis=2)
-        links = (frame[:, :-1] * frame[:, 1:]).reshape(coupling.size, 2 * n_samples)
-        cross = (coupling.reshape(-1) @ links).reshape(n_samples, 2).sum(axis=1)
-        moments[4] += 2.0 * magnitude * cross
+        sums = weights @ (frame * frame).reshape(weights.shape[1], 2 * n)
+        moments[:, samples] += sums.reshape(5, n, 2).sum(axis=2)
+        links = (frame[:, :-1] * frame[:, 1:]).reshape(coupling.size, 2 * n)
+        cross = (coupling.reshape(-1) @ links).reshape(n, 2).sum(axis=1)
+        moments[4, samples] += 2.0 * magnitude * cross
         on_top = on_boundary[index]
         columns = np.searchsorted(boundary, index[on_top])
-        top[:, columns] = (np.abs(amplitudes[on_top]) ** 2).T
-        del frame, amplitudes  # before the next chain length is evolved
+        top[samples, columns] = (np.abs(amplitudes[on_top]) ** 2).T
+        del frame, amplitudes  # before the next chunk is evolved
     return moments, top
 
 

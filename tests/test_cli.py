@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opasim
 from opasim import quantum
 from opasim.cli import (
     SCENARIOS,
@@ -267,6 +271,45 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+#: Keys added to MINIMAL_MEANFIELD for one small run of each scenario.
+_SMALL_RUNS = {
+    "meanfield": "",
+    "quantum": "d0 = 5\nd1 = 5\nd2 = 5\n",
+    "fluorescence": "d0 = 5\nd1 = 5\nd2 = 5\n",
+    "propagator-convergence": "n_slices = 64\n",
+    "action-check": "",
+    "thermal-ensemble": "temperature = 1.0\nn_samples = 8\n",
+    "sweep": "sweep_key = kappa\nsweep_start = 0.1\nsweep_stop = 0.2\nsweep_count = 2\n",
+}
+
+#: Runs every config named on the command line through ``main`` in one
+#: fresh interpreter, then prints the scipy modules it has loaded.
+_RUN_AND_LIST_SCIPY = """
+import sys
+from opasim.cli import main
+for config in sys.argv[2:]:
+    assert main([config, "--output-dir", sys.argv[1], "--quiet"]) == 0, config
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_every_scenario_without_scipy(tmp_path):
+    """Every route the CLI takes is numpy alone: scipy serves only the
+    eigh/Krylov oracle, which imports it when called."""
+    assert tuple(_SMALL_RUNS) == SCENARIOS
+    configs = [str(_write(tmp_path, f"{name}.cfg", MINIMAL_MEANFIELD.replace(
+        "scenario = meanfield", f"scenario = {name}") + extra))
+        for name, extra in _SMALL_RUNS.items()]
+    package_root = Path(opasim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(tmp_path), *configs],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestMainExitCodes:
