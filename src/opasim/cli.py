@@ -34,7 +34,7 @@ from .fockspace import (
     TruncationDims,
     product_coherent_state,
 )
-from .meanfield import MeanFieldState, Trajectory, integrate_rk4, num_steps
+from .meanfield import MeanFieldState, integrate_rk4, num_steps, trajectory_blocks
 from .pathintegral import (
     free_mode_path,
     free_propagator_closed_form,
@@ -321,38 +321,46 @@ def _initial_state(config: RunConfig) -> MeanFieldState:
     return MeanFieldState(config.params.pump_alpha0, config.alpha1, config.alpha2)
 
 
-def _write_meanfield_csv(traj: Trajectory, out_path: Path) -> tuple[int, float]:
-    """Write the mean-field time series; returns (rows, max relative MR drift).
+def _write_meanfield_csv(blocks, dt: float, out_path: Path) -> tuple[int, float, tuple]:
+    """Write the mean-field time series from the trajectory's blocks as
+    they come; returns (rows, max relative MR drift, last sample).
 
-    The Manley-Rowe columns are (n0 + n1, n0 + n2, n1 - n2).
+    Row k is at time ``k * dt``.  The Manley-Rowe columns are
+    (n0 + n1, n0 + n2, n1 - n2).
     """
     drift = 0.0
+    last = None
 
     def rows():
-        nonlocal drift
+        nonlocal drift, last
         mr0 = None
-        # one list of Python complex numbers per mode, not one list per row
-        for t, a0, a1, a2 in zip(traj.times(), *traj.samples.T.tolist()):
-            n0, n1, n2 = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2
-            mr1, mr2, mr3 = n0 + n1, n0 + n2, n1 - n2
-            if mr0 is None:
-                mr0 = (mr1, mr2, mr3)
-                scale = max(abs(mr1), abs(mr2), 1e-300)
-            drift = max(drift, max(abs(mr1 - mr0[0]), abs(mr2 - mr0[1]),
-                                   abs(mr3 - mr0[2])) / scale)
-            yield (t, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag,
-                   n0, n1, n2, mr1, mr2, mr3)
+        start = 0
+        for block in blocks:
+            times = [k * dt for k in range(start, start + len(block))]
+            start += len(block)
+            # one list of Python complex numbers per mode, not one list per row
+            for t, a0, a1, a2 in zip(times, *block.T.tolist()):
+                n0, n1, n2 = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2
+                mr1, mr2, mr3 = n0 + n1, n0 + n2, n1 - n2
+                if mr0 is None:
+                    mr0 = (mr1, mr2, mr3)
+                    scale = max(abs(mr1), abs(mr2), 1e-300)
+                drift = max(drift, max(abs(mr1 - mr0[0]), abs(mr2 - mr0[1]),
+                                       abs(mr3 - mr0[2])) / scale)
+                yield (t, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag,
+                       n0, n1, n2, mr1, mr2, mr3)
+            last = (a0, a1, a2)
 
     header = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
               "n0", "n1", "n2", "mr1", "mr2", "mr3"]
     n_rows = write_csv_atomic(out_path, header, rows())
-    return n_rows, drift
+    return n_rows, drift, last
 
 
 def _run_meanfield(config: RunConfig, out_path: Path) -> ScenarioReport:
-    traj = integrate_rk4(_initial_state(config), config.params,
-                         config.t_final, config.dt)
-    n_rows, drift = _write_meanfield_csv(traj, out_path)
+    _, blocks = trajectory_blocks(_initial_state(config), config.params,
+                                  config.t_final, config.dt)
+    n_rows, drift, _ = _write_meanfield_csv(blocks, config.dt, out_path)
     ok = drift <= MR_DRIFT_THRESHOLD
     diags = [("max Manley-Rowe relative drift",
               f"{drift:.3e} (threshold {MR_DRIFT_THRESHOLD:g})")]
@@ -456,13 +464,14 @@ def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
             point = _config_with_sweep_value(config, float(value))
             point_path = out_path.with_name(
                 f"{out_path.stem}_{i:03d}{out_path.suffix or '.csv'}")
-            traj = integrate_rk4(_initial_state(point), point.params,
-                                 point.t_final, point.dt)
-            n_rows, drift = _write_meanfield_csv(traj, point_path)
+            _, blocks = trajectory_blocks(_initial_state(point), point.params,
+                                          point.t_final, point.dt)
+            n_rows, drift, (_, a1_t, a2_t) = _write_meanfield_csv(
+                blocks, point.dt, point_path)
             outputs.append((point_path, n_rows))
             all_ok = all_ok and drift <= MR_DRIFT_THRESHOLD
-            (_, a1_0, _), (_, a1_t, a2_t) = traj.samples[[0, -1]].tolist()
-            n1_0, n1_t = abs(a1_0) ** 2, abs(a1_t) ** 2
+            # the first sample is the initial state itself
+            n1_0, n1_t = abs(point.alpha1) ** 2, abs(a1_t) ** 2
             gain = n1_t / n1_0 if n1_0 > 0 else float("nan")
             aggregate_rows.append((float(value), n1_t, abs(a2_t) ** 2, gain))
         header = [config.sweep_key, "n1_final", "n2_final", "gain_n1"]

@@ -33,8 +33,11 @@ if TYPE_CHECKING:
 DEFAULT_DIM_CAP = 262144
 
 #: Bound on the samples (steps + 1) of one mean-field trajectory, and of
-#: a thermal ensemble's time axis.  A trajectory run holds about 200 bytes
-#: per sample at its peak, an ensemble's statistics about 70 per step.
+#: a thermal ensemble's time axis.  ``meanfield`` and ``sweep`` runs stream
+#: the trajectory in blocks and peak about 1 MB above the import at any
+#: length; an ``action-check`` run peaks about 160 bytes per sample above
+#: it, ``stationary_propagator`` about 40 per slice and an ensemble's
+#: statistics about 70 per step.
 TRAJECTORY_SAMPLE_CAP = 5_000_000
 
 #: Bound on (steps + 1) * members of a thermal ensemble.  The statistics

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ DIVERGENCE_LIMIT = 1e6
 
 #: Relative slack used when counting whole steps into a final time.
 _STEP_ROUNDING = 1e-9
+
+#: Rows of one block of a streamed trajectory (192 kB of amplitudes), so a
+#: consumer of the blocks holds one block, not the whole trajectory.
+TRAJECTORY_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,15 @@ class Trajectory:
 
 def num_steps(t_final: float, dt: float) -> int:
     """Whole steps of size dt fitting into t_final (rounding-tolerant); a
-    count that overflows a float exceeds every cap (:class:`ResourceLimitError`)."""
+    count that overflows a float exceeds every cap (:class:`ResourceLimitError`).
+
+    Raises :class:`ValueError` unless ``dt`` is finite and > 0 and
+    ``t_final`` is finite and at least ``dt``.
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not dt <= t_final < math.inf:
+        raise ValueError(f"t_final = {t_final} must be finite and at least dt = {dt}")
     ratio = t_final / dt
     if math.isinf(ratio):
         raise ResourceLimitError(f"t_final / dt = {t_final} / {dt} overflows")
@@ -126,45 +139,65 @@ def derivatives(s: MeanFieldState, params: ModeParams) -> MeanFieldState:
     return MeanFieldState(*_rhs(*s.as_tuple(), rhs_coefficients(params)))
 
 
-def integrate_rk4(s0: MeanFieldState, params: ModeParams,
-                  t_final: float, dt: float) -> Trajectory:
-    """Classic fixed-step RK4 trajectory from ``s0``.
+def trajectory_blocks(s0: MeanFieldState, params: ModeParams, t_final: float,
+                      dt: float) -> tuple[int, Iterator[np.ndarray]]:
+    """The classic fixed-step RK4 trajectory from ``s0``, in blocks of rows.
 
+    Returns the step count and an iterator over ``(rows, 3)`` complex
+    blocks of at most ``TRAJECTORY_BLOCK_ROWS`` rows; stacked, they are the
+    ``steps + 1`` samples at times ``k * dt``, the first of them ``s0``.
     The last sample sits at the largest multiple of ``dt`` not exceeding
-    ``t_final``.  Raises :class:`DivergenceError` (reporting the time) if
-    any amplitude leaves the divergence guard, and
-    :class:`ResourceLimitError` before integrating if the trajectory
-    would hold more than ``TRAJECTORY_SAMPLE_CAP`` samples.
+    ``t_final``.  The arguments and ``TRAJECTORY_SAMPLE_CAP`` are checked
+    here, before any step (:class:`ValueError`,
+    :class:`ResourceLimitError`); the iterator raises
+    :class:`DivergenceError` (reporting the time) once any amplitude
+    leaves the divergence guard.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_final < dt:
-        raise ValueError(f"t_final = {t_final} must be at least dt = {dt}")
     steps = num_steps(t_final, dt)
     if steps + 1 > TRAJECTORY_SAMPLE_CAP:
         raise ResourceLimitError(
             f"trajectory of {steps + 1} samples exceeds the cap "
             f"{TRAJECTORY_SAMPLE_CAP}"
         )
+    return steps, _rk4_blocks(s0.as_tuple(), rhs_coefficients(params), steps, dt)
 
-    coeffs = rhs_coefficients(params)
-    a0, a1, a2 = s0.as_tuple()
-    # one flat list of complex numbers: the garbage collector tracks none
-    # of its entries, which it would for a list of per-step tuples
+
+def _rk4_blocks(a, coeffs, steps: int, dt: float) -> Iterator[np.ndarray]:
+    a0, a1, a2 = a
+    # one flat list of complex numbers per block: the garbage collector
+    # tracks none of its entries, which it would for a list of tuples
     flat = [a0, a1, a2]
-    extend = flat.extend
-    for k in range(steps):
-        a = rk4_step(a0, a1, a2, dt, coeffs)
-        a0, a1, a2 = a
-        # NaN and inf both fail the comparison
-        if not (abs(a0) < DIVERGENCE_LIMIT and abs(a1) < DIVERGENCE_LIMIT
-                and abs(a2) < DIVERGENCE_LIMIT):
-            raise DivergenceError(
-                f"mean-field amplitudes diverged at t = {(k + 1) * dt:.6g}",
-                time=(k + 1) * dt,
-            )
-        extend(a)
-    samples = np.array(flat, dtype=complex).reshape(steps + 1, 3)
+    for start in range(0, steps + 1, TRAJECTORY_BLOCK_ROWS):
+        extend = flat.extend
+        for r in range(max(start, 1), min(start + TRAJECTORY_BLOCK_ROWS, steps + 1)):
+            a = rk4_step(a0, a1, a2, dt, coeffs)
+            a0, a1, a2 = a
+            # NaN and inf both fail the comparison
+            if not (abs(a0) < DIVERGENCE_LIMIT and abs(a1) < DIVERGENCE_LIMIT
+                    and abs(a2) < DIVERGENCE_LIMIT):
+                raise DivergenceError(
+                    f"mean-field amplitudes diverged at t = {r * dt:.6g}",
+                    time=r * dt,
+                )
+            extend(a)
+        yield np.array(flat, dtype=complex).reshape(-1, 3)
+        flat = []
+
+
+def integrate_rk4(s0: MeanFieldState, params: ModeParams,
+                  t_final: float, dt: float) -> Trajectory:
+    """Classic fixed-step RK4 trajectory from ``s0``: the blocks of
+    :func:`trajectory_blocks` gathered into one array.
+
+    Raises as :func:`trajectory_blocks` does, so the sample cap is checked
+    before integrating.
+    """
+    steps, blocks = trajectory_blocks(s0, params, t_final, dt)
+    samples = np.empty((steps + 1, 3), dtype=complex)
+    start = 0
+    for block in blocks:
+        samples[start:start + len(block)] = block
+        start += len(block)
     return Trajectory(dt=dt, samples=samples)
 
 

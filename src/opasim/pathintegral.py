@@ -16,6 +16,7 @@ limit of the product phase is the classical action evaluated below.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import CoarseStepWarning, DivergenceError
 from .fockspace import ModeParams
-from .meanfield import MeanFieldState, Trajectory, integrate_rk4
+from .meanfield import MeanFieldState, Trajectory, trajectory_blocks
 
 #: Warn when eta * max(omega) exceeds this: the linearized kernel degrades.
 KERNEL_STEP_LIMIT = 0.1
@@ -97,13 +98,10 @@ def free_mode_path(alpha: complex, omega: float, t: float, n: int,
     return SlicedPath(t=t, labels=labels)
 
 
-def _slice_kernels(labels: np.ndarray, eta: float, params: ModeParams) -> np.ndarray:
-    """Kernels <next| (1 - i eta H) |prev> between consecutive label rows.
-
-    ``labels`` has shape (n+1, 3); kernel j links row j (ket) to row j+1
-    (bra).  Warns with :class:`CoarseStepWarning` at the caller of the
-    public entry point when eta * max(omega) exceeds ``KERNEL_STEP_LIMIT``.
-    """
+def _warn_if_coarse(eta: float, params: ModeParams) -> None:
+    """Warn with :class:`CoarseStepWarning`, at the caller of the public
+    entry point that calls this, when eta * max(omega) exceeds
+    ``KERNEL_STEP_LIMIT``."""
     w_max = max(abs(w) for w in params.omegas)
     if eta * w_max > KERNEL_STEP_LIMIT:
         warnings.warn(
@@ -111,6 +109,14 @@ def _slice_kernels(labels: np.ndarray, eta: float, params: ModeParams) -> np.nda
             f"{KERNEL_STEP_LIMIT}; the linearized kernel is inaccurate",
             CoarseStepWarning, stacklevel=3,
         )
+
+
+def _slice_kernels(labels: np.ndarray, eta: float, params: ModeParams) -> np.ndarray:
+    """Kernels <next| (1 - i eta H) |prev> between consecutive label rows.
+
+    ``labels`` has shape (n+1, 3); kernel j links row j (ket) to row j+1
+    (bra).
+    """
     prv = labels[:-1]
     nxt = labels[1:]
     overlap_exp = np.sum(-0.5 * np.abs(nxt) ** 2 - 0.5 * np.abs(prv) ** 2
@@ -129,18 +135,18 @@ def slice_kernel(prev: Triple, next: Triple, eta: float,
     """Short-time kernel <next| (1 - i eta H) |prev> between coherent labels."""
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
+    _warn_if_coarse(eta, params)
     labels = np.array([prev, next], dtype=complex)
     return complex(_slice_kernels(labels, eta, params)[0])
 
 
-def product_propagator(path: SlicedPath, params: ModeParams) -> complex:
-    """Product of all slice kernels along the path, in slice order.
+def _guarded_product(kernels: np.ndarray) -> complex:
+    """Product of the kernels in slice order.
 
     Raises :class:`DivergenceError` when the running log-magnitude of the
     product leaves the floating-point-safe window, at the first slice
     where it does.
     """
-    kernels = _slice_kernels(path.labels, path.eta, params)
     magnitudes = np.abs(kernels)
     # a vanished kernel gives log 0 = -inf, reported below, not warned
     with np.errstate(divide="ignore"):
@@ -155,6 +161,17 @@ def product_propagator(path: SlicedPath, params: ModeParams) -> complex:
             f"{LOG_OVERFLOW_LIMIT}"
         )
     return complex(np.multiply.reduce(kernels))
+
+
+def product_propagator(path: SlicedPath, params: ModeParams) -> complex:
+    """Product of all slice kernels along the path, in slice order.
+
+    Raises :class:`DivergenceError` when the running log-magnitude of the
+    product leaves the floating-point-safe window, at the first slice
+    where it does.
+    """
+    _warn_if_coarse(path.eta, params)
+    return _guarded_product(_slice_kernels(path.labels, path.eta, params))
 
 
 def _time_derivatives(labels: np.ndarray, dt: float) -> np.ndarray:
@@ -209,9 +226,10 @@ def lagrangian_difference(path: SlicedPath, params: ModeParams,
     phenomenological form +eta a0 a1* a2* + c.c.; the two Lagrangians
     coincide identically under eta_param = -kappa'.
     """
-    base = lagrangian_samples(path, params)
-    alt = (_free_lagrangian(path, params)
-           + 2.0 * np.real(eta_param * _interaction_term(path)))
+    free = _free_lagrangian(path, params)
+    interaction = _interaction_term(path)
+    base = free - 2.0 * np.real(params.kappa_prime * interaction)
+    alt = free + 2.0 * np.real(eta_param * interaction)
     return np.abs(base - alt)
 
 
@@ -242,20 +260,35 @@ def stationary_propagator(alpha_a: Triple, alpha_b: Triple, t: float,
     only: no fluctuation (Gaussian prefactor) integral is performed, so for
     weak coupling the value approximates the exact propagator between
     ``alpha_a`` and the achieved endpoint up to a prefactor near one.
+
+    The value is bit for bit ``product_propagator`` on
+    ``path_from_trajectory(integrate_rk4(...))``, but the path is streamed:
+    the kernels are computed block by block of the trajectory, and only
+    they are kept.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return StationaryPropagatorResult(
             value=1.0 + 0.0j, endpoint=tuple(alpha_a),
             requested_endpoint=tuple(alpha_b),
         )
     dt = t / n_slices
-    traj = integrate_rk4(MeanFieldState(*alpha_a), params, t_final=t, dt=dt)
-    path = path_from_trajectory(traj)
-    value = product_propagator(path, params)
-    achieved = tuple(traj.samples[-1].tolist())
-    return StationaryPropagatorResult(value=value, endpoint=achieved,
+    steps, blocks = trajectory_blocks(MeanFieldState(*alpha_a), params,
+                                      t_final=t, dt=dt)
+    eta = (dt * steps) / steps  # as path_from_trajectory's SlicedPath has it
+    kernels = np.empty(steps, dtype=complex)
+    start = 0
+    last = None
+    for block in blocks:
+        # the seam kernel links the previous block's last row to this one's first
+        labels = block if last is None else np.concatenate((last, block))
+        kernels[start:start + len(labels) - 1] = _slice_kernels(labels, eta, params)
+        start += len(labels) - 1
+        last = block[-1:]
+    _warn_if_coarse(eta, params)
+    value = _guarded_product(kernels)
+    return StationaryPropagatorResult(value=value, endpoint=tuple(last[0].tolist()),
                                       requested_endpoint=tuple(alpha_b))

@@ -161,15 +161,12 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
     master seeds give bit-identical statistics.  Raises
     :class:`ResourceLimitError` before seeding if ``n_samples`` exceeds
     ``ENSEMBLE_MEMBER_CAP``, ``steps + 1`` exceeds ``TRAJECTORY_SAMPLE_CAP``
-    or ``(steps + 1) * n_samples`` exceeds ``ENSEMBLE_MEMBER_STEP_CAP``.
+    or ``(steps + 1) * n_samples`` exceeds ``ENSEMBLE_MEMBER_STEP_CAP``,
+    and :class:`ValueError` for a ``dt`` or ``t_final`` that
+    :func:`opasim.meanfield.num_steps` rejects.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_final < dt:
-        raise ValueError(f"t_final = {t_final} must be at least dt = {dt}")
-
     steps = num_steps(t_final, dt)
     if n_samples > ENSEMBLE_MEMBER_CAP:
         raise ResourceLimitError(

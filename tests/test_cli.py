@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opasim
-from opasim import quantum
+from opasim import meanfield, quantum
 from opasim.cli import (
     SCENARIOS,
     SWEEPABLE_KEYS,
@@ -230,6 +231,13 @@ class TestScenarios:
         errors = data[:, 1]
         assert np.all(np.diff(errors) < 0)
 
+    def test_coarse_convergence_table_warns_once(self, tmp_path, capsys):
+        text = ("scenario = propagator-convergence\n"
+                "alpha0_re = 1.3\nt_final = 1.0\nn_slices = 16\n")
+        cfg = _write(tmp_path, "coarse.cfg", text)
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("warning: slice step") == 1
+
     def test_action_check_scenario(self, tmp_path):
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
                                          "scenario = action-check")
@@ -295,6 +303,27 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def test_meanfield_peak_memory_does_not_grow_with_steps(tmp_path, monkeypatch):
+    """The trajectory streams into the CSV in blocks of rows.  Holding it
+    whole took about 200 bytes per sample: 600 kB more at 4000 steps than
+    at 1000.  Blocks of 64 rows keep the traced run short."""
+    monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", 64)
+
+    def peak(steps):
+        text = MINIMAL_MEANFIELD.replace("t_final = 1.0", f"t_final = {steps * 1e-3}")
+        cfg = _write(tmp_path, "run.cfg", text.replace("dt = 0.01", "dt = 0.001"))
+        tracemalloc.start()
+        try:
+            assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # first-run allocations (caches, lazy imports) are not growth
+    short, long = peak(1000), peak(4000)
+    assert long - short < 16 * 1024
+
+
 def test_cli_runs_every_scenario_without_scipy(tmp_path):
     """Every route the CLI takes is numpy alone: scipy serves only the
     eigh/Krylov oracle, which imports it when called."""
@@ -355,6 +384,22 @@ class TestMainExitCodes:
         cfg = _write(tmp_path, "div.cfg", text)
         assert main([str(cfg), "--output-dir", str(tmp_path)]) == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_divergence_after_first_block_leaves_nothing(self, tmp_path, capsys):
+        """Free RK4 at omega0 * dt = 2.829, just past its stability limit
+        2.828: the pump grows by 0.14% a step and diverges after several
+        blocks of rows have been written to the temp file."""
+        text = MINIMAL_MEANFIELD.replace("kappa = 0.2", "kappa = 0.0")
+        text = text.replace("dt = 0.01", "dt = 1.4145")
+        text = text.replace("t_final = 1.0", "t_final = 30000.0")
+        cfg = _write(tmp_path, "div.cfg", text)
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error" in err
+        time = float(err.rsplit("t = ", 1)[1])
+        assert time > 2 * meanfield.TRAJECTORY_BLOCK_ROWS * 1.4145
+        assert not list(tmp_path.glob("*.csv"))
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("scenario,old,new", [
         ("quantum", "alpha1_re = 0.3", "alpha1_re = 1e200"),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opasim import meanfield
 from opasim.errors import DivergenceError, ResourceLimitError
 from opasim.fockspace import ModeParams
 from opasim.meanfield import (
@@ -22,6 +23,7 @@ from opasim.meanfield import (
     derivatives,
     integrate_rk4,
     manley_rowe,
+    trajectory_blocks,
     undepleted_pump_solution,
 )
 
@@ -121,17 +123,38 @@ class TestIntegrateRk4:
         assert excinfo.value.time is not None
 
     def test_sample_cap_checked_before_integrating(self):
-        with pytest.raises(ResourceLimitError):
-            integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 1.0, 1e-12)
-        # t_final / dt overflows to inf: more steps than any cap allows
-        with pytest.raises(ResourceLimitError):
-            integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 1.0, 5e-324)
+        # the block producer checks on the call, not on the first block
+        for integrate in (integrate_rk4, trajectory_blocks):
+            with pytest.raises(ResourceLimitError):
+                integrate(MeanFieldState(1, 0, 0), PARAMS, 1.0, 1e-12)
+            # t_final / dt overflows to inf: more steps than any cap allows
+            with pytest.raises(ResourceLimitError):
+                integrate(MeanFieldState(1, 0, 0), PARAMS, 1.0, 5e-324)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, 0.05, 0.1)
+
+    @pytest.mark.parametrize("t_final,dt,name", [
+        (1.0, math.nan, "dt"), (1.0, math.inf, "dt"),
+        (math.nan, 0.01, "t_final"), (math.inf, 0.01, "t_final"),
+    ])
+    def test_rejects_non_finite_times(self, t_final, dt, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            integrate_rk4(MeanFieldState(1, 0, 0), PARAMS, t_final, dt)
+
+    def test_blocks_stack_to_the_trajectory(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", 7)
+        s0 = MeanFieldState(1.2 - 0.3j, 0.4 + 0.1j, -0.2j)
+        steps, blocks = trajectory_blocks(s0, PARAMS, 0.1, 1e-3)
+        blocks = list(blocks)
+        assert steps == 100
+        assert [len(b) for b in blocks] == [7] * 14 + [3]
+        assert blocks[0][0].tolist() == list(s0.as_tuple())
+        assert np.array_equal(np.concatenate(blocks),
+                              integrate_rk4(s0, PARAMS, 0.1, 1e-3).samples)
 
 
 class TestManleyRowe:
@@ -290,6 +313,15 @@ class TestBitIdentity:
         assert got.shape == want.shape
         assert np.all(got == want)
         # == cannot tell -0.0 from 0.0, and the CSVs can
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
+
+    def test_blocks_of_5_match_unfolded_reference(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", 5)
+        s0 = MeanFieldState(2.0 - 0.7j, 0.4 + 0.1j, -0.3j)
+        got = integrate_rk4(s0, PARAMS, 0.5, 1e-3).samples
+        want = unfolded_rk4(s0, PARAMS, 0.5, 1e-3)
+        assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)),
                               np.signbit(want.view(float)))
 

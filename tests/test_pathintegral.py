@@ -7,10 +7,12 @@ interaction-term equivalence.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
+from opasim import meanfield
 from opasim.errors import CoarseStepWarning, DivergenceError
 from opasim.fockspace import ModeParams, TruncationDims
 from opasim.meanfield import MeanFieldState, integrate_rk4
@@ -352,6 +354,36 @@ class TestStationaryPropagator:
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=5.0)
         with pytest.raises(DivergenceError):
             stationary_propagator((4.0, 2.0, 2.0), (0, 0, 0), 100.0, params, 10)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            stationary_propagator((0.5, 0, 0), (0.5, 0, 0), t, PARAMS, 8)
+
+    @pytest.mark.parametrize("block_rows", [None, 5], ids=["default-blocks", "blocks-of-5"])
+    def test_streamed_matches_product_on_integrated_path(self, block_rows, monkeypatch):
+        """Around every block seam, value and endpoint are the same bits as
+        the product along the whole integrated path."""
+        alpha_a = (0.8 - 0.1j, 0.5 + 0.2j, -0.3j)
+        if block_rows is not None:
+            monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", block_rows)
+        b, t = meanfield.TRAJECTORY_BLOCK_ROWS, 0.04
+        for n in (1, b - 1, b, b + 1, 3 * b + 5):
+            traj = integrate_rk4(MeanFieldState(*alpha_a), PARAMS, t, t / n)
+            want = product_propagator(path_from_trajectory(traj), PARAMS)
+            got = stationary_propagator(alpha_a, alpha_a, t, PARAMS, n)
+            assert got.value == want
+            assert np.signbit([got.value.real, got.value.imag]).tolist() == \
+                np.signbit([want.real, want.imag]).tolist()
+            assert got.endpoint == tuple(traj.samples[-1].tolist())
+
+    def test_multi_block_run_warns_once(self, monkeypatch):
+        """eta * omega0 = 0.5: coarse in every one of the 6 blocks, and
+        reported once, at the caller."""
+        monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", 4)
+        with pytest.warns(CoarseStepWarning) as record:
+            stationary_propagator((0.3, 0.1, 0), (0.3, 0.1, 0), 5.0, FREE, 20)
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestSlicedPathType:

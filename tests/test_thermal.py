@@ -243,6 +243,13 @@ class TestFluorescenceEnsemble:
         with pytest.raises(ValueError):
             ThermalParams(temperature=1.0, seed=-1)
 
+    @pytest.mark.parametrize("t_final,dt,name", [
+        (1.0, math.nan, "dt"), (math.nan, 0.01, "t_final"),
+    ])
+    def test_rejects_non_finite_times(self, t_final, dt, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            fluorescence_ensemble(PARAMS, ThermalParams(1.0), t_final, dt, 4)
+
 
 def batched_reference(params, thermal, t_final, dt, n_samples):
     """Ensemble statistics from one (3, N) array and an unfolded batched
