@@ -42,7 +42,7 @@ from .pathintegral import (
     path_from_trajectory,
     product_propagator,
 )
-from .quantum import evolve_state, system_hamiltonian
+from .quantum import ChainState, evolve_state, system_hamiltonian
 from .thermal import ThermalParams, fluorescence_ensemble
 
 #: Keys a sweep may vary without breaking the frequency-matching constraint.
@@ -370,8 +370,12 @@ def _run_meanfield(config: RunConfig, out_path: Path) -> ScenarioReport:
 def _run_quantum(config: RunConfig, out_path: Path) -> ScenarioReport:
     steps = num_steps(config.t_final, config.dt)
     h = system_hamiltonian(config.params, config.dims)
-    psi0 = product_coherent_state(config.params.pump_alpha0, config.alpha1,
-                                  config.alpha2, config.dims)
+    if config.alpha1 == config.alpha2 == 0:
+        # vacuum signal and idler occupy about d0 chains: no dense state
+        psi0 = ChainState(config.params.pump_alpha0, config.dims)
+    else:
+        psi0 = product_coherent_state(config.params.pump_alpha0, config.alpha1,
+                                      config.alpha2, config.dims)
     result = evolve_state(h, psi0, steps * config.dt, steps + 1, config.dims)
     rows = zip(result.times, *result.expectations.T, result.norm_deviations,
                result.energies)

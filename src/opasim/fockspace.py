@@ -29,14 +29,18 @@ from .errors import ResourceLimitError, TruncationWarning
 if TYPE_CHECKING:
     from scipy import sparse
 
-#: Bound on d0*d1*d2, guarding against accidental huge allocations.
+#: Bound on d0*d1*d2 wherever an array of one entry per basis state is
+#: built: a dense state, the occupation arrays, a Hamiltonian, assembled
+#: states.  Dims alone are not capped, so a chain-supported state
+#: (``quantum.ChainState``) runs at any d0*d1*d2 that its own entries
+#: allow.
 DEFAULT_DIM_CAP = 262144
 
 #: Bound on the samples (steps + 1) of one mean-field trajectory, and of
 #: a thermal ensemble's time axis.  ``meanfield`` and ``sweep`` runs stream
 #: the trajectory in blocks and peak about 1 MB above the import at any
 #: length; an ``action-check`` run peaks about 160 bytes per sample above
-#: it, ``stationary_propagator`` about 40 per slice and an ensemble's
+#: it, ``stationary_propagator`` about 26 per slice and an ensemble's
 #: statistics about 70 per step.
 TRAJECTORY_SAMPLE_CAP = 5_000_000
 
@@ -52,12 +56,15 @@ ENSEMBLE_MEMBER_CAP = 2_000_000
 #: CSV file.
 SWEEP_POINT_CAP = 10_000
 
-#: Bound on samples * d0*d1*d2 of one exact evolution.  A CLI run reduces
-#: its observables chain by chain, in chunks of samples, and never builds
-#: the state array (16 bytes per entry): measured at the cap, it peaks
-#: about 2 bytes per entry above the import at d = 64, 4 at d = 10 and 9.5
-#: at d = 3, most of it the per-sample populations of the top-level states
-#: (8 bytes each), which are nearly all states at d = 3.
+#: Bound on samples * state entries of one exact evolution.  A dense
+#: initial state counts d0*d1*d2 entries per sample; a chain-supported one
+#: counts the entries of its chains plus the top-level states, whose
+#: per-sample populations (8 bytes each) the leakage sums.  A CLI run
+#: reduces its observables chain by chain, in chunks of samples, and never
+#: builds the state array (16 bytes per entry): measured at the cap, a
+#: dense run peaks about 2 bytes per entry above the import at d = 64, 4
+#: at d = 10 and 9.5 at d = 3, most of it the top-level populations, which
+#: are nearly all states at d = 3.
 STATE_SAMPLE_CAP = 20_000_000
 
 #: Largest total dimension for which dense operator matrices are built.
@@ -83,14 +90,18 @@ class TruncationDims:
             d = getattr(self, name)
             if not isinstance(d, (int, np.integer)) or d < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {d!r}")
-        if self.total > DEFAULT_DIM_CAP:
-            raise ResourceLimitError(
-                f"total dimension {self.total} exceeds cap {DEFAULT_DIM_CAP}"
-            )
 
     @property
     def total(self) -> int:
         return self.d0 * self.d1 * self.d2
+
+    def check_dense(self) -> None:
+        """Raise :class:`ResourceLimitError` if an array of one entry per
+        basis state would exceed ``DEFAULT_DIM_CAP``."""
+        if self.total > DEFAULT_DIM_CAP:
+            raise ResourceLimitError(
+                f"total dimension {self.total} exceeds cap {DEFAULT_DIM_CAP}"
+            )
 
     def dim(self, mode: int) -> int:
         """Truncation of a single mode (0 = pump, 1 = signal, 2 = idler)."""
@@ -181,6 +192,7 @@ def embed_mode(op: np.ndarray, mode_index: int, dims: TruncationDims) -> np.ndar
             f"operator shape {op.shape} does not match mode {mode_index} "
             f"dimension {d}"
         )
+    dims.check_dense()
     eyes = [np.eye(dims.d0, dtype=complex),
             np.eye(dims.d1, dtype=complex),
             np.eye(dims.d2, dtype=complex)]
@@ -190,6 +202,7 @@ def embed_mode(op: np.ndarray, mode_index: int, dims: TruncationDims) -> np.ndar
 
 def occupation_arrays(dims: TruncationDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupation numbers (n0, n1, n2) of every joint basis state, as arrays."""
+    dims.check_dense()
     idx = np.arange(dims.total)
     n2 = idx % dims.d2
     n1 = (idx // dims.d2) % dims.d1
@@ -206,6 +219,7 @@ def basis_index(n0: int, n1: int, n2: int, dims: TruncationDims) -> int:
 
 def basis_state(n0: int, n1: int, n2: int, dims: TruncationDims) -> np.ndarray:
     """Unit vector for the joint number state |n0, n1, n2>."""
+    dims.check_dense()
     psi = np.zeros(dims.total, dtype=complex)
     psi[basis_index(n0, n1, n2, dims)] = 1.0
     return psi
@@ -275,14 +289,24 @@ def coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
     """Raw truncated coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!).
 
     No renormalization and no truncation warning; the vector's norm falls
-    short of one by exactly the truncated tail weight.
+    short of one by exactly the truncated tail weight.  Where
+    exp(-|a|^2/2) underflows to zero (|a| above about 38.6), the same
+    recurrence runs on the log-magnitudes, so that the amplitudes near
+    n = |a|^2 stay finite and only the far tails underflow.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d!r}")
     c = np.empty(d, dtype=complex)
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    if c[0] != 0:
+        for n in range(1, d):
+            c[n] = c[n - 1] * alpha / math.sqrt(n)
+        return c
+    log_step, angle = math.log(abs(alpha)), cmath.phase(alpha)
+    log_mag = -0.5 * abs(alpha) ** 2
     for n in range(1, d):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
+        log_mag += log_step - 0.5 * math.log(n)
+        c[n] = cmath.rect(math.exp(log_mag), n * angle)
     return c
 
 
@@ -311,7 +335,12 @@ def coherent_state(alpha: complex, d: int) -> np.ndarray:
 
 def product_coherent_state(a0: complex, a1: complex, a2: complex,
                            dims: TruncationDims) -> np.ndarray:
-    """Three-mode coherent product state |a0> x |a1> x |a2>, unit norm."""
+    """Three-mode coherent product state |a0> x |a1> x |a2>, unit norm.
+
+    Raises :class:`ResourceLimitError` before building anything if
+    d0*d1*d2 exceeds ``DEFAULT_DIM_CAP``.
+    """
+    dims.check_dense()
     c0 = coherent_state(a0, dims.d0)
     c1 = coherent_state(a1, dims.d1)
     c2 = coherent_state(a2, dims.d2)

@@ -147,14 +147,17 @@ def _guarded_product(kernels: np.ndarray) -> complex:
     product leaves the floating-point-safe window, at the first slice
     where it does.
     """
-    magnitudes = np.abs(kernels)
+    # one float array, logged and summed in place
+    log_mag = np.abs(kernels)
     # a vanished kernel gives log 0 = -inf, reported below, not warned
     with np.errstate(divide="ignore"):
-        log_mag = np.cumsum(np.log(magnitudes))
-    outside = np.flatnonzero(np.abs(log_mag) > LOG_OVERFLOW_LIMIT)
+        np.log(log_mag, out=log_mag)
+    np.cumsum(log_mag, out=log_mag)
+    outside = np.flatnonzero((log_mag > LOG_OVERFLOW_LIMIT)
+                             | (log_mag < -LOG_OVERFLOW_LIMIT))
     if outside.size:
         first = outside[0]
-        if magnitudes[first] == 0.0:
+        if kernels[first] == 0:
             raise DivergenceError("slice product vanished (|log K| overflow)")
         raise DivergenceError(
             f"slice product log-magnitude {log_mag[first]:.3g} exceeds "

@@ -5,7 +5,10 @@ n0+n1 and n0+n2, so it is a direct sum of chains of fixed charges, each
 ordered by n0.  The gauge conj(kappa'/|kappa'|)^k makes every chain a real
 symmetric tridiagonal block.  :func:`system_hamiltonian` returns that
 charge-sector form, and :func:`evolve_state` propagates it exactly by
-diagonalising the chains of each length in one batched ``eigh``.  The
+diagonalising the chains of each length in one batched ``eigh``.  A
+:class:`ChainState`, a coherent pump times signal and idler number
+states, names its about d0 occupied chains and their start amplitudes
+directly, so that no d0*d1*d2 vector is built.  The
 norm, occupations, energy and top-level leakage of every sample are reduced
 inside that chain loop, so the (samples, dim) state array is assembled
 only when a caller reads ``EvolutionResult.states``.  Any other Hermitian
@@ -154,25 +157,30 @@ class SectorHamiltonian:
     def shape(self) -> tuple[int, int]:
         return (self.dims.total, self.dims.total)
 
-    def chains(self):
-        """Yield ``(index, occupations, diagonal, coupling)`` per chain length L.
+    def chains(self, charge1: np.ndarray, charge2: np.ndarray):
+        """Yield ``(chosen, index, occupations, diagonal, coupling)`` per
+        chain length L, over the chains of the given charges.
 
-        ``index`` (m, L) holds the basis indices of the m chains of that
-        length, ``occupations`` (3, m, L) their n0, n1, n2, ``diagonal``
-        (m, L) their diagonal entries of H, and ``coupling`` (m, L-1) the
+        ``charge1`` and ``charge2`` hold the charges n0+n1 and n0+n2 of the
+        requested chains; those without a basis state are skipped.
+        ``chosen`` holds the positions of the m requested chains of length
+        L, in their requested order, ``index`` (m, L) their basis indices,
+        ``occupations`` (3, m, L) their n0, n1, n2, ``diagonal`` (m, L)
+        their diagonal entries of H, and ``coupling`` (m, L-1) the
         magnitudes sqrt(n0 (n1+1) (n2+1)) linking position j-1 to j, taken
         at position j.  H[j-1, j] is kappa' times that magnitude.
         """
         p, d = self.params, self.dims
-        charge1 = np.arange(d.d0 + d.d1 - 1)[:, None]
-        charge2 = np.arange(d.d0 + d.d2 - 1)[None, :]
         lowest = np.maximum(np.maximum(0, charge1 - (d.d1 - 1)),
                             charge2 - (d.d2 - 1))
         highest = np.minimum(np.minimum(d.d0 - 1, charge1), charge2)
         lengths = highest - lowest + 1
-        charge1, charge2 = np.broadcast_arrays(charge1, charge2)
-        for length in np.unique(lengths[lengths > 0]):
-            chosen = lengths == length
+        order = np.argsort(lengths, kind="stable")
+        cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+        for chosen in np.split(order, cuts):
+            length = lengths[chosen[0]]
+            if length < 1:
+                continue
             n0 = lowest[chosen][:, None] + np.arange(length)
             n1 = charge1[chosen][:, None] - n0
             n2 = charge2[chosen][:, None] - n0
@@ -182,36 +190,155 @@ class SectorHamiltonian:
                 diagonal = diagonal + 0.5 * (p.omega0 + p.omega1 + p.omega2)
             coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
             index = (n0 * d.d1 + n1) * d.d2 + n2
-            yield index, np.stack([n0, n1, n2]), diagonal, coupling
+            yield chosen, index, np.stack([n0, n1, n2]), diagonal, coupling
 
 
-def _evolved_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
-                    n_samples: int):
+@dataclass(frozen=True)
+class ChainState:
+    """The state |alpha0> x |n1> x |n2>, held by its charge chains.
+
+    A coherent pump times signal and idler number states occupies one
+    chain per pump level n0, the chain of charges (n0+n1, n0+n2), at the
+    single entry (n0, n1, n2), where its amplitude is the pump's coherent
+    amplitude c(n0).  That is about d0 of the (d0+d1-1)(d0+d2-1) chains,
+    so :func:`evolve_state` evolves it without a dense d0*d1*d2 vector:
+    its cost and its cap (``STATE_SAMPLE_CAP``, on :attr:`entries` per
+    sample) follow the occupied chains, not d0*d1*d2.  ``shape`` is the
+    dense state's, for the checks the two forms share.
+    """
+
+    alpha0: complex
+    dims: TruncationDims
+    n1: int = 0
+    n2: int = 0
+
+    def __post_init__(self):
+        if not (0 <= self.n1 < self.dims.d1 and 0 <= self.n2 < self.dims.d2):
+            raise ValueError(
+                f"signal/idler levels ({self.n1}, {self.n2}) outside {self.dims}")
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.dims.total,)
+
+    @property
+    def entries(self) -> int:
+        """State entries one sample holds: those of the d0 chains, plus the
+        top-level states, one population each for the leakage."""
+        d, s = self.dims, min(self.n1, self.n2)
+        r = min(d.d1 - 1 - self.n1, d.d2 - 1 - self.n2)
+
+        def excess(q):  # sum over n0 < d0 of max(0, n0 - q)
+            if q >= 0:
+                return max(0, d.d0 - 1 - q) * max(0, d.d0 - q) // 2
+            return d.d0 * (d.d0 - 1) // 2 - q * d.d0
+
+        # chain n0 runs over pump levels max(0, n0 - r) .. min(d0 - 1, n0 + s)
+        chained = (d.d0 * (d.d0 + 1) // 2 + d.d0 * s
+                   - excess(d.d0 - 1 - s) - excess(r))
+        return chained + _top_level_count(d)
+
+    @cached_property
+    def pump_amplitudes(self) -> np.ndarray:
+        """c(n0), n0 < d0: the normalised truncated coherent pump state."""
+        return coherent_state(self.alpha0, self.dims.d0)
+
+
+def _chain_starts(h: SectorHamiltonian, psi0):
+    """Yield ``(index, occupations, diagonal, coupling, start)`` per batch
+    of chains, for the chains on which ``psi0`` does not vanish.
+
+    ``psi0`` is a dense state or a :class:`ChainState`; ``start`` (m, L)
+    holds its amplitudes on the m chains of a batch, all of length L.  A
+    dense state is gathered from every chain, one batch per chain length.
+    A chain state names its own chains, one per nonzero pump amplitude,
+    and sets their start entries directly.  Its pump levels are taken in
+    runs whose (m, L, L) blocks stay within ``CHAIN_BLOCK_BYTES``, and
+    within a run the short chains are joined end to end (see
+    :func:`_joined`).
+    """
+    d = h.dims
+    if isinstance(psi0, ChainState):
+        levels = np.flatnonzero(psi0.pump_amplitudes)
+        run = max(1, CHAIN_BLOCK_BYTES // (8 * min(d.d1, d.d2) ** 2))
+        for first in range(0, levels.size, run):
+            chosen_levels = levels[first:first + run]
+            amplitudes = psi0.pump_amplitudes[chosen_levels]
+            groups = [
+                (index, occupations, diagonal, coupling,
+                 np.where(occupations[1] == psi0.n1, amplitudes[chosen, None], 0))
+                for chosen, index, occupations, diagonal, coupling in h.chains(
+                    chosen_levels + psi0.n1, chosen_levels + psi0.n2)]
+            yield from _joined(groups)
+        return
+    width = d.d0 + d.d2 - 1
+    # every charge pair, n0+n1 major, so the chains keep their basis order
+    charge1, charge2 = np.divmod(np.arange((d.d0 + d.d1 - 1) * width), width)
+    for _, index, occupations, diagonal, coupling in h.chains(charge1, charge2):
+        start = psi0[index]
+        occupied = np.any(start != 0, axis=1)
+        if not occupied.all():
+            if not occupied.any():
+                continue
+            index, occupations, diagonal, coupling, start = (
+                index[occupied], occupations[:, occupied], diagonal[occupied],
+                coupling[occupied], start[occupied])
+        yield index, occupations, diagonal, coupling, start
+
+
+def _joined(groups: list):
+    """The chain groups of one length each, with short chains joined.
+
+    A chain of length k and one of length L - k, L the longest, make one
+    row of length L with no coupling at the seam, so H leaves them two
+    blocks.  The rows join the group of length L, so that a vacuum-seeded
+    state's d0 chains are evolved in one or two batches, not one per
+    length.  Chains left without a partner keep their group.  The
+    eigenvalues of a joined row round differently from those of its two
+    chains apart, by about one unit in the last place.
+    """
+    by_length = {group[0].shape[1]: group for group in groups}
+    if not by_length:
+        return
+    longest = max(by_length)
+    rows, rest = [by_length.pop(longest)], []
+    for length in sorted(by_length):
+        group = by_length.pop(length, None)
+        other = by_length.pop(longest - length, None)
+        if group is None or other is None:
+            rest += [g for g in (group, other) if g is not None]
+            continue
+        p = min(len(group[0]), len(other[0]))
+        head = [a[..., :p, :] for a in group]
+        head[3] = np.concatenate([head[3], np.zeros((p, 1))], axis=1)  # the seam
+        rows.append(tuple(np.concatenate([a, b[..., :p, :]], axis=-1)
+                          for a, b in zip(head, other)))
+        rest += [tuple(a[..., p:, :] for a in g) for g in (group, other)
+                 if len(g[0]) > p]
+    yield rows[0] if len(rows) == 1 else tuple(
+        np.concatenate(parts, axis=-2) for parts in zip(*rows))
+    yield from rest
+
+
+def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     """The chains of psi0 evolved to the times k step, k < n_samples.
 
     Yields ``(index, occupations, diagonal, coupling, samples, frame,
-    amplitudes)`` for the chains on which psi0 does not vanish (the others
-    stay zero), once per chain length and chunk of samples.  The chains of
-    one length are diagonalised together, and the phases of sample k are
+    gauge)`` for the chains of :func:`_chain_starts` (the others stay
+    zero), once per batch of chains and chunk of samples.  The chains of
+    a batch are diagonalised together, and the phases of sample k are
     the k-th powers of one step's phases.  The sample axis is cut into
     even chunks whose evolved block stays within ``CHAIN_BLOCK_BYTES``, or
     holds at most six samples where that is more.  Each chunk continues
     the running product from the last sample of the chunk before, so the
     amplitudes do not depend on the cut.  ``samples`` is the
-    chunk's slice of the sample axis and ``amplitudes`` (m, L, n) are its
-    n evolved basis amplitudes.  ``frame`` (m, L, 2 n) holds their real and
-    imaginary parts in the gauge conj(kappa'/|kappa'|)^j, where every chain
-    is a real block, before the gauge phase is put back.
+    chunk's slice of the sample axis.  ``frame`` (m, L, 2 n) holds the real
+    and imaginary parts of its n evolved samples in the gauge
+    conj(kappa'/|kappa'|)^j, where every chain is a real block; the basis
+    amplitudes are ``frame.view(complex) * gauge[:, None]``.
     """
     angle = -np.angle(h.params.kappa_prime)  # gauge exp(i angle j)
-    for index, occupations, diagonal, coupling in h.chains():
-        start = psi0[index]
-        occupied = np.any(start != 0, axis=1)
-        if not occupied.any():
-            continue
-        index, occupations, diagonal, coupling, start = (
-            index[occupied], occupations[:, occupied], diagonal[occupied],
-            coupling[occupied], start[occupied])
+    for index, occupations, diagonal, coupling, start in _chain_starts(h, psi0):
         m, length = index.shape
         gauge = np.exp(1j * angle * np.arange(length))
         offset = diagonal[:, :1]  # keeps the blocks small next to the chain energy
@@ -240,21 +367,52 @@ def _evolved_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
             frame = vectors @ evolved[:, :, begin - low:].view(float)
             del evolved
             yield (index, occupations, diagonal, coupling, slice(begin, stop),
-                   frame, frame.view(complex) * gauge[:, None])
+                   frame, gauge)
             del frame  # so that the caller's del frees it before the next chunk
 
 
-def _assemble_states(h: SectorHamiltonian, psi0: np.ndarray, step: float,
+def _assemble_states(h: SectorHamiltonian, psi0, step: float,
                      n_samples: int) -> np.ndarray:
-    """The (n_samples, dim) states exp(-i H k step) psi0, chain by chain."""
-    states = np.zeros((n_samples, psi0.shape[0]), dtype=complex)
-    for index, *_, samples, _, amplitudes in _evolved_chains(h, psi0, step, n_samples):
+    """The (n_samples, dim) states exp(-i H k step) psi0, chain by chain.
+
+    Raises :class:`ResourceLimitError` before allocating if d0*d1*d2
+    exceeds ``DEFAULT_DIM_CAP`` or the states ``STATE_SAMPLE_CAP`` entries.
+    """
+    h.dims.check_dense()
+    if n_samples * h.dims.total > STATE_SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"{n_samples} assembled samples of {h.dims.total} states exceed "
+            f"the cap of {STATE_SAMPLE_CAP} state entries"
+        )
+    states = np.zeros((n_samples, h.dims.total), dtype=complex)
+    for index, *_, samples, frame, gauge in _evolved_chains(h, psi0, step, n_samples):
+        amplitudes = frame.view(complex) * gauge[:, None]
         states[samples, index.ravel()] = amplitudes.transpose(2, 0, 1).reshape(
             amplitudes.shape[2], -1)
     return states
 
 
-def _reduce_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
+def _top_level_count(dims: TruncationDims) -> int:
+    """Number of basis states with any mode at its top Fock level."""
+    return dims.total - (dims.d0 - 1) * (dims.d1 - 1) * (dims.d2 - 1)
+
+
+def _top_level_columns(occupations: np.ndarray, dims: TruncationDims) -> np.ndarray:
+    """Positions of top-level states, given by their (3, k) occupations,
+    among all top-level states in basis order.
+
+    Below the top pump level each n0 holds d1 - 1 + d2 of them (n2 at
+    its top for n1 < d1 - 1, then the whole n1 = d1 - 1 row); the top
+    pump level holds all d1 d2.
+    """
+    n0, n1, n2 = occupations
+    d0, d1, d2 = dims.d0, dims.d1, dims.d2
+    per_level = d1 - 1 + d2
+    below = n0 * per_level + np.where(n1 < d1 - 1, n1, d1 - 1 + n2)
+    return np.where(n0 < d0 - 1, below, (d0 - 1) * per_level + n1 * d2 + n2)
+
+
+def _reduce_chains(h: SectorHamiltonian, psi0, step: float,
                    n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample sums over the evolved chains, without the state array.
 
@@ -264,18 +422,18 @@ def _reduce_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
     level, in basis order.  <H> is taken in the real gauge frame: the
     diagonal against the populations plus 2|kappa'| coupling
     Re(conj(phi_{j-1}) phi_j) per link, phi the gauge-frame amplitudes, so
-    it checks the states rather than repeating the eigenvalues.  ``top`` holds |psi|^2 of exactly the
-    amplitudes :func:`_assemble_states` scatters, so its row sums are the
-    top-level populations bit for bit.
+    it checks the states rather than repeating the eigenvalues.  ``top``
+    holds |psi|^2 of exactly the amplitudes :func:`_assemble_states`
+    scatters, so its row sums are the top-level populations bit for bit;
+    the gauge phase is put back at those entries only.
     """
-    on_boundary = _boundary_mask(h.dims)
-    boundary = np.flatnonzero(on_boundary)
+    d = h.dims
     magnitude = abs(h.params.kappa_prime)
     moments = np.zeros((5, n_samples))
-    top = np.zeros((n_samples, boundary.size))
+    top = np.zeros((n_samples, _top_level_count(d)))
     for (index, occupations, diagonal, coupling, samples, frame,
-         amplitudes) in _evolved_chains(h, psi0, step, n_samples):
-        n = amplitudes.shape[2]
+         gauge) in _evolved_chains(h, psi0, step, n_samples):
+        n = frame.shape[2] // 2
         weights = np.concatenate([np.ones_like(diagonal)[None], occupations,
                                   diagonal[None]]).reshape(5, -1)
         sums = weights @ (frame * frame).reshape(weights.shape[1], 2 * n)
@@ -283,10 +441,12 @@ def _reduce_chains(h: SectorHamiltonian, psi0: np.ndarray, step: float,
         links = (frame[:, :-1] * frame[:, 1:]).reshape(coupling.size, 2 * n)
         cross = (coupling.reshape(-1) @ links).reshape(n, 2).sum(axis=1)
         moments[4, samples] += 2.0 * magnitude * cross
-        on_top = on_boundary[index]
-        columns = np.searchsorted(boundary, index[on_top])
-        top[samples, columns] = (np.abs(amplitudes[on_top]) ** 2).T
-        del frame, amplitudes  # before the next chunk is evolved
+        on_top = ((occupations[0] == d.d0 - 1) | (occupations[1] == d.d1 - 1)
+                  | (occupations[2] == d.d2 - 1))
+        columns = _top_level_columns(occupations[:, on_top], d)
+        phase = gauge[np.nonzero(on_top)[1], None]
+        top[samples, columns] = (np.abs(frame.view(complex)[on_top] * phase) ** 2).T
+        del frame  # before the next chunk is evolved
     return moments, top
 
 
@@ -306,13 +466,15 @@ def top_level_population(psi: np.ndarray, dims: TruncationDims) -> float:
     return float(np.sum(np.abs(psi[_boundary_mask(dims)]) ** 2))
 
 
-def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
+def evolve_state(h, psi0, t_final: float, n_samples: int,
                  dims: TruncationDims) -> EvolutionResult:
     """Evolve ``psi0`` under ``h`` and sample uniformly on [0, t_final].
 
     ``h`` may be the charge-sector form from :func:`system_hamiltonian`,
     a dense array or a scipy sparse matrix; the latter two must be
-    Hermitian to ``HERMITICITY_TOL``.  Per-mode occupation expectations
+    Hermitian to ``HERMITICITY_TOL``.  ``psi0`` is a dense state vector,
+    or, for the charge-sector form, a :class:`ChainState`, which is
+    evolved on its occupied chains alone.  Per-mode occupation expectations
     and the top-level population on ``dims`` are recorded, and
     truncation-boundary leakage is monitored (population of any top
     Fock level above ``LEAKAGE_TOL`` attaches a warning to the result).
@@ -322,9 +484,12 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
     compute the states first and take the observables from them.  Raises
     :class:`ValueError` for a negative or non-finite ``t_final`` and
     :class:`ResourceLimitError` before allocating if the samples would
-    hold more than ``STATE_SAMPLE_CAP`` state entries.
+    hold more than ``STATE_SAMPLE_CAP`` state entries: d0*d1*d2 per sample
+    for a dense state, :attr:`ChainState.entries` for a chain state.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
+    chain_state = isinstance(psi0, ChainState)
+    if not chain_state:
+        psi0 = np.asarray(psi0, dtype=complex)
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if n_samples < 1:
@@ -337,9 +502,13 @@ def evolve_state(h, psi0: np.ndarray, t_final: float, n_samples: int,
         raise ValueError(
             f"dims.total = {dims.total} does not match state length {psi0.shape[0]}"
         )
-    if n_samples * psi0.shape[0] > STATE_SAMPLE_CAP:
+    if chain_state and (not isinstance(h, SectorHamiltonian) or psi0.dims != dims):
+        raise ValueError("a ChainState evolves under the charge-sector form "
+                         "of its own dims")
+    entries = psi0.entries if chain_state else psi0.shape[0]
+    if n_samples * entries > STATE_SAMPLE_CAP:
         raise ResourceLimitError(
-            f"{n_samples} samples of {psi0.shape[0]} states exceed the cap of "
+            f"{n_samples} samples of {entries} state entries exceed the cap of "
             f"{STATE_SAMPLE_CAP} state entries"
         )
     times = np.linspace(0.0, t_final, n_samples)
@@ -419,9 +588,11 @@ def fluorescence_from_vacuum(params: ModeParams, dims: TruncationDims,
     """Evolution of |pump_alpha0, 0, 0>: spontaneous signal/idler growth.
 
     The mean-field equations keep vacuum signal and idler at exactly zero,
-    so any nonzero <n1>(t), <n2>(t) here is purely quantum seeding.
+    so any nonzero <n1>(t), <n2>(t) here is purely quantum seeding.  The
+    state is a :class:`ChainState`, so only its about d0 occupied chains
+    are evolved.
     """
-    psi0 = product_coherent_state(params.pump_alpha0, 0.0, 0.0, dims)
+    psi0 = ChainState(params.pump_alpha0, dims)
     h = system_hamiltonian(params, dims)
     return evolve_state(h, psi0, t_final, n_samples, dims)
 

@@ -20,6 +20,7 @@ reference over the same renormalised pump to 1e-15.
 """
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -34,6 +35,8 @@ from opasim.fockspace import (
     TruncationDims,
     build_annihilation,
     build_hamiltonian,
+    build_hamiltonian_sparse,
+    coherent_state,
     occupation_arrays,
     product_coherent_state,
 )
@@ -54,6 +57,7 @@ from opasim.pathintegral import (
     stationary_propagator,
 )
 from opasim.quantum import (
+    ChainState,
     evolve_state,
     fluorescence_from_vacuum,
     propagator_exact,
@@ -291,6 +295,88 @@ def test_criterion_06_quantum_fluorescence():
         f"(16,16,16) run at alpha0=3 differs from the Fock-pump chain "
         f"reference by {engine_rel:.1e} (relative)"
     )
+
+
+#: c(alpha0) = (<n1>/sinh^2(gt) - 1) |alpha0|^2 at gt = 0.8, kappa =
+#: 0.3/alpha0, a 25-level signal ladder and n_max = |alpha0|^2 +
+#: 10|alpha0| + 20, from the Fock-pump chain reference (5 decimals).
+QUANTISED_PUMP_LADDER = {6.0: -0.35956, 10.0: -0.36132, 20.0: -0.36206,
+                         40.0: -0.36225}
+
+
+@functools.lru_cache(maxsize=None)
+def quantised_pump_n1(alpha0):
+    """<n1> at gt = 0.8 from |alpha0, 0, 0>: the engine's and the Fock-pump
+    chain reference's, at n_max = |alpha0|^2 + 10|alpha0| + 20 and signal
+    and idler ladders of 25 levels.  At alpha0 = 40 that is (2021,25,25),
+    eight times the dense cap, which the chain-supported state runs."""
+    kappa, n_max = 0.3 / alpha0, round(alpha0 ** 2 + 10 * alpha0 + 20)
+    params = ModeParams(2.0, 1.2, 0.8, kappa_mag=kappa, pump_alpha0=alpha0)
+    result = fluorescence_from_vacuum(params, TruncationDims(n_max + 1, 25, 25),
+                                      0.8 / 0.3, 2)
+    reference = fock_pump_chain_n1(alpha0, kappa, n_max, 24, result.times)
+    return float(result.expectations[-1, 1]), float(reference[-1])
+
+
+def test_quantised_pump_engine_matches_fock_pump_chains():
+    """The chain-supported engine matches the independent Fock-pump chain
+    reference to 1e-10 (relative) up to 1600 pump photons."""
+    worst = max(abs(engine - reference) / reference
+                for engine, reference in map(quantised_pump_n1,
+                                             QUANTISED_PUMP_LADDER))
+    ok = worst < 1e-10
+    assert report(6, "quantised pump vs Fock-pump chains, alpha0 6-40", ok,
+                  f"max rel gap {worst:.1e}")
+
+
+def test_quantised_pump_depletion_ladder():
+    """Walls & Barakat's depletion correction: c(alpha0) falls monotonically
+    towards its limit, its steps shrink like 1/|alpha0|^2, and mean-field
+    from vacuum signal and idler stays exactly dark.
+
+    c = c_inf + b/|alpha0|^2 gives b from each step; measured, the three
+    estimates are 0.0987, 0.0996 and 0.1016.
+    """
+    alphas = sorted(QUANTISED_PUMP_LADDER)
+    ladder = [(quantised_pump_n1(a)[0] / math.sinh(0.8) ** 2 - 1.0) * a ** 2
+              for a in alphas]
+    tabulated = max(abs(c - QUANTISED_PUMP_LADDER[a]) for a, c in zip(alphas, ladder))
+    monotone = all(b < a for a, b in zip(ladder, ladder[1:]))
+    slopes = [(c1 - c0) / (a1 ** -2 - a0 ** -2)
+              for a0, a1, c0, c1 in zip(alphas, alphas[1:], ladder, ladder[1:])]
+    spread = (max(slopes) - min(slopes)) / np.mean(slopes)
+
+    params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3 / 40.0)
+    traj = integrate_rk4(MeanFieldState(40.0, 0j, 0j), params, 0.8 / 0.3, 1e-3)
+    dark = bool(np.all(traj.samples[:, 1:] == 0))
+
+    ok = tabulated < 1e-5 and monotone and spread < 0.05 and dark
+    assert report(6, "quantised-pump depletion ladder", ok,
+                  f"c = {', '.join(f'{c:.5f}' for c in ladder)}; "
+                  f"b = {', '.join(f'{b:.4f}' for b in slopes)}; "
+                  f"mean-field dark {dark}")
+
+
+@pytest.mark.parametrize("signal,idler", [(1, 0), (2, 1)])
+def test_number_state_seeds_on_chains(signal, idler):
+    """|alpha0, n1, n2> evolved on its chains matches the same state as a
+    dense vector to 1e-12, and the eigh/Krylov oracle to 1e-10."""
+    dims = TruncationDims(14, 6, 5)
+    params = ModeParams(2.0, 1.3, 0.7, kappa_mag=0.2, phi=0.9)
+    seed = ChainState(1.5 - 0.5j, dims, signal, idler)
+    signal_state, idler_state = np.eye(dims.d1)[signal], np.eye(dims.d2)[idler]
+    dense = np.kron(coherent_state(1.5 - 0.5j, dims.d0),
+                    np.kron(signal_state, idler_state))
+    chains = evolve_state(system_hamiltonian(params, dims), seed, 3.0, 7, dims)
+    gaps = []
+    for h, psi0 in ((system_hamiltonian(params, dims), dense),
+                    (build_hamiltonian_sparse(params, dims), dense)):
+        other = evolve_state(h, psi0, 3.0, 7, dims)
+        gaps.append(max(float(np.max(np.abs(getattr(chains, name) - getattr(other, name))))
+                        for name in ("states", "expectations", "energies", "leakage")))
+    ok = gaps[0] <= 1e-12 and gaps[1] < 1e-10
+    assert report(6, f"seed |alpha0, {signal}, {idler}> on its chains", ok,
+                  f"vs dense {gaps[0]:.1e}, vs oracle {gaps[1]:.1e}")
 
 
 def test_criterion_07_path_integral_convergence():

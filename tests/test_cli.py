@@ -106,10 +106,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep_key must be one of"):
             parse_config(text)
 
-    def test_dimension_cap_raises_resource_error(self):
-        text = MINIMAL_MEANFIELD + "d0 = 100\nd1 = 100\nd2 = 100\n"
-        with pytest.raises(ResourceLimitError):
-            parse_config(text)
+    def test_dimension_cap_raises_resource_error(self, tmp_path):
+        """Dims parse at any size; a coherent-seed quantum run at 100^3 is
+        refused where its dense state would be built, before allocating."""
+        text = (MINIMAL_MEANFIELD.replace("scenario = meanfield", "scenario = quantum")
+                + "d0 = 100\nd1 = 100\nd2 = 100\n")
+        config = parse_config(text)
+        assert config.dims.total == 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds cap"):
+                run(config, output_dir=str(tmp_path), quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the dense state alone would take 16 MB
+        assert not list(tmp_path.iterdir())
 
     def test_boolean_parsing(self):
         config = parse_config(MINIMAL_MEANFIELD + "include_zero_point = true\n")
@@ -415,10 +427,47 @@ class TestMainExitCodes:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_resource_cap_exits_4(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "big.cfg",
-                     MINIMAL_MEANFIELD + "d0 = 100\nd1 = 100\nd2 = 100\n")
-        assert main([str(cfg)]) == 4
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield", "scenario = quantum")
+        cfg = _write(tmp_path, "big.cfg", text + "d0 = 100\nd1 = 100\nd2 = 100\n")
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 4
         assert "resource error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
+
+    def test_fluorescence_runs_past_the_dense_cap(self, tmp_path):
+        """alpha0 = 20 on (621,25,25), 1.5 times the dense cap: vacuum signal
+        and idler are evolved on their chains alone."""
+        text = ("scenario = fluorescence\nomega0 = 2.0\nomega1 = 1.2\n"
+                "omega2 = 0.8\nkappa = 0.015\nalpha0_re = 20\nd0 = 621\n"
+                "d1 = 25\nd2 = 25\nt_final = 0.4\ndt = 0.1\n")
+        cfg = _write(tmp_path, "run.cfg", text)
+        assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        header, data = read_csv(tmp_path / "fluorescence.csv")
+        assert data.shape[0] == 5
+        assert np.max(data[:, header.index("norm_dev")]) < 1e-9
+        assert data[-1, header.index("n1")] > 0
+
+    @pytest.mark.parametrize("extra", [
+        "d0 = 621\nd1 = 25\nd2 = 25\ndt = 0.0001\n",
+        "d0 = 100000000\nd1 = 25\nd2 = 25\n",
+    ], ids=["samples", "pump-ladder"])
+    def test_chain_supported_cap_exits_4_before_allocating(self, tmp_path, capsys,
+                                                           extra):
+        """A fluorescence run is capped on its chains' entries times samples
+        (about 4.7e4 entries at (621,25,25), so 10^4 samples are too many),
+        before the pump amplitudes or any chain are built."""
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         "scenario = fluorescence")
+        text = text.replace("dt = 0.01\n", "") if "dt" in extra else text
+        cfg = _write(tmp_path, "big.cfg", text + extra)
+        tracemalloc.start()
+        try:
+            assert main([str(cfg), "--output-dir", str(tmp_path)]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "resource error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cfg"]
 
     def test_missing_config_file_exits_5(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.cfg")]) == 5

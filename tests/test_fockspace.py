@@ -5,10 +5,13 @@ themselves: direct matrix multiplication for commutators, explicit series
 summation for coherent overlaps, conjugate transposition for Hermiticity.
 """
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from opasim.errors import ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
@@ -227,6 +230,38 @@ class TestCoherentStates:
             psi = coherent_state(2.5, 10)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [3.0 - 1.0j, 38.0])
+    def test_plain_recurrence_kept_while_ground_amplitude_is_nonzero(self, alpha):
+        """Bit for bit the recurrence c_n = c_{n-1} alpha / sqrt(n) on
+        complex128 entries, down to alpha = 38, where exp(-|alpha|^2/2) is
+        subnormal, so that no CSV built on it moves."""
+        d = 1700
+        expected = np.empty(d, dtype=complex)
+        expected[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(1, d):
+            expected[n] = expected[n - 1] * alpha / math.sqrt(n)
+        raw = coherent_amplitudes(alpha, d)
+        assert raw[0] > 0
+        assert raw.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [40.0, 40.0 * cmath.exp(0.7j)])
+    def test_large_label_does_not_underflow(self, alpha):
+        """exp(-|alpha|^2/2) = exp(-800) underflows to 0, yet the state is
+        finite, of unit norm, Poisson with mean |alpha|^2, and matches a
+        log-gamma reference."""
+        d = 2021  # |alpha|^2 + 10 |alpha| + 20
+        assert math.exp(-0.5 * abs(alpha) ** 2) == 0.0
+        psi = coherent_state(alpha, d)
+        n = np.arange(d)
+        log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+        reference = np.exp(log_mag + 1j * n * cmath.phase(alpha))
+        reference /= np.linalg.norm(reference)
+        assert np.all(np.isfinite(psi))
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(n * np.abs(psi) ** 2)) == pytest.approx(abs(alpha) ** 2,
+                                                                    rel=1e-12)
+        np.testing.assert_allclose(psi, reference, rtol=0, atol=1e-12)
+
 
 class TestProductStates:
     def test_triple_vacuum(self):
@@ -275,8 +310,20 @@ class TestParameterValidation:
             TruncationDims(1, 2, 2)
 
     def test_dims_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            TruncationDims(100, 100, 100)
+        """Dims alone are not capped; building one entry per basis state is,
+        before anything is allocated."""
+        dims = TruncationDims(100, 100, 100)
+        for build in (lambda: product_coherent_state(0.5, 0.3, 0.0, dims),
+                      lambda: occupation_arrays(dims),
+                      lambda: basis_state(0, 0, 0, dims)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="exceeds cap"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20  # a dense state would take 16 MB
 
     def test_swapped_exchanges_signal_idler(self):
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3)

@@ -22,9 +22,11 @@ from opasim.fockspace import (
     basis_state,
     build_hamiltonian,
     build_hamiltonian_sparse,
+    occupation_arrays,
     product_coherent_state,
 )
 from opasim.quantum import (
+    ChainState,
     chain_rule_compose,
     evolve_state,
     expectation_number,
@@ -212,16 +214,20 @@ class TestSectorRoute:
         """States, energies and expectations agree to 1e-10.
 
         The vacuum signal/idler state touches only the chains with
-        n1 = n2, so the route skips all the others; the random state
+        n1 = n2, so the route skips all the others, whether it comes as a
+        dense vector or as a :class:`ChainState`; the random state
         occupies every chain.
         """
         rng = np.random.default_rng(dims.total)
         generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+        generic /= np.linalg.norm(generic)
         vacuum_pair = product_coherent_state(params.pump_alpha0, 0, 0, dims)
-        for psi0 in (vacuum_pair, generic / np.linalg.norm(generic)):
+        for psi0, dense in ((vacuum_pair, vacuum_pair),
+                            (ChainState(params.pump_alpha0, dims), vacuum_pair),
+                            (generic, generic)):
             sector = evolve_state(system_hamiltonian(params, dims), psi0, 3.0, 7,
                                   dims=dims)
-            oracle = evolve_state(build_hamiltonian_sparse(params, dims), psi0,
+            oracle = evolve_state(build_hamiltonian_sparse(params, dims), dense,
                                   3.0, 7, dims=dims)
             np.testing.assert_allclose(sector.states, oracle.states, atol=1e-10)
             np.testing.assert_allclose(sector.energies, oracle.energies,
@@ -347,6 +353,91 @@ class TestSectorRoute:
         for k in range(5):
             assert result.leakage[k] == top_level_population(result.states[k],
                                                              dims)
+
+
+class TestChainState:
+    """The chain-supported form of |alpha0, n1, n2>."""
+
+    PHI = 0.83
+
+    @pytest.mark.parametrize("dims", [
+        TruncationDims(9, 5, 4), TruncationDims(3, 8, 6), TruncationDims(30, 7, 12),
+        TruncationDims(2, 2, 2),
+    ])
+    def test_entries_count_chains_and_top_levels(self, dims):
+        """The closed-form count is the chains' entries plus the top-level
+        states, counted here from the dense basis."""
+        n0, n1, n2 = occupation_arrays(dims)
+        top = int(np.count_nonzero((n0 == dims.d0 - 1) | (n1 == dims.d1 - 1)
+                                   | (n2 == dims.d2 - 1)))
+        for signal in range(dims.d1):
+            for idler in range(dims.d2):
+                charges = {(level + signal, level + idler) for level in range(dims.d0)}
+                chained = sum((a, b) in charges for a, b in zip(n0 + n1, n0 + n2))
+                state = ChainState(1.0, dims, signal, idler)
+                assert state.entries == chained + top
+
+    def test_levels_outside_the_ladders_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            ChainState(1.0, TruncationDims(4, 3, 3), 3, 0)
+
+    def test_needs_the_sector_form_of_its_dims(self):
+        dims = TruncationDims(4, 5, 3)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1)
+        state = ChainState(1.0, dims)
+        with pytest.raises(ValueError, match="charge-sector form"):
+            evolve_state(build_hamiltonian(params, dims), state, 1.0, 2, dims)
+        other = TruncationDims(4, 3, 5)
+        with pytest.raises(ValueError, match="charge-sector form"):
+            evolve_state(system_hamiltonian(params, other), state, 1.0, 2, other)
+
+    def test_cap_counts_entries_and_is_checked_before_allocating(self):
+        """Past the dense cap, the run is capped on its own entries times
+        samples, before the pump amplitudes or any chain are built."""
+        dims = TruncationDims(10 ** 8, 25, 25)
+        state = ChainState(20.0, dims)
+        h = system_hamiltonian(ModeParams(2.0, 1.2, 0.8, kappa_mag=0.015), dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cap"):
+                evolve_state(h, state, 1.0, 2, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "pump_amplitudes" not in vars(state)
+
+    def test_runs_past_the_dense_cap_without_assembling(self):
+        """(621,25,25) is 1.5 times the dense cap; the chain form runs it,
+        and only reading the states meets the cap."""
+        dims = TruncationDims(621, 25, 25)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.015, pump_alpha0=20.0)
+        result = evolve_state(system_hamiltonian(params, dims),
+                              ChainState(20.0, dims), 2.0, 3, dims)
+        assert result.max_norm_deviation < 1e-12
+        assert result.expectations[0, 0] == pytest.approx(400.0, rel=1e-12)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            result.states
+
+    def test_short_chains_joined_match_one_by_one(self):
+        """A vacuum seed's short chains (lengths 1 to 23 here) are joined
+        end to end into rows of the longest length; the evolved states
+        agree with the dense vector's per-length route to rounding, and
+        the leakage is the assembled states' top-level population bit for
+        bit."""
+        dims = TruncationDims(26, 24, 25)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=self.PHI)
+        h = system_hamiltonian(params, dims)
+        seed = ChainState(2.5, dims)
+        joined = evolve_state(h, seed, 2.0, 11, dims)
+        dense = evolve_state(h, product_coherent_state(2.5, 0, 0, dims), 2.0, 11, dims)
+        # lengths 1 + 23, ..., 11 + 13 join the length-24 rows; 12 stays alone
+        assert [start.shape for *_, start in quantum._chain_starts(h, seed)] == [
+            (14, 24), (1, 12)]
+        np.testing.assert_allclose(joined.states, dense.states, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(joined.energies, dense.energies, rtol=1e-15)
+        for k in range(11):
+            assert joined.leakage[k] == top_level_population(joined.states[k], dims)
 
 
 class TestExpectationNumber:
