@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import math
 import os
 import sys
@@ -275,36 +274,47 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-@functools.lru_cache(maxsize=64)
-def _row_format(types: tuple[type, ...]) -> str:
-    """%-format of a CSV row with these value types: integers exactly,
-    everything else as a float with 17 significant digits."""
-    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g"
-                    for t in types) + "\n"
+#: Rows rendered by one %-format call.  On a 2-CPU x86 host, a
+#: 2·10^5-step `meanfield` run was no faster at 4096 rows and peaked
+#: 4.5 MB higher; at 64 rows it was about 15% slower.
+CSV_FORMAT_ROWS = 512
 
 
-def write_csv_atomic(path: Path, header: list[str], rows) -> int:
+def write_csv_atomic(path: Path, header: list[str], blocks) -> int:
     """Write a CSV (LF newlines, UTF-8, no BOM) via temp file + rename.
 
-    Rows are written as they are drawn from ``rows``.  The temp file lives
-    in the target directory (rename stays atomic) with a unique name, and
-    is removed if the write fails partway.  Returns the number of rows.
+    ``blocks`` yields 2-D float arrays of rows, one column per header
+    field; each field is written as ``%.17g``, and blocks are written as
+    they are drawn.  The temp file lives in the target directory (rename
+    stays atomic) with a unique name, and is removed if the write fails
+    partway.  Returns the number of rows.
     """
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                     dir=path.parent or None)
     count = 0
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for count, row in enumerate(rows, start=1):
-                row = tuple(row)
-                fh.write(_row_format(tuple(map(type, row))) % row)
+            for block in blocks:
+                for lo in range(0, len(block), CSV_FORMAT_ROWS):
+                    part = block[lo:lo + CSV_FORMAT_ROWS]
+                    fh.write((row_format * len(part)) % tuple(part.ravel().tolist()))
+                count += len(block)
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
     return count
+
+
+def _row_blocks(*columns: np.ndarray):
+    """The rows of equally long columns (1-D, or 2-D for several at once),
+    stacked a block of ``CSV_FORMAT_ROWS`` rows at a time rather than
+    copied whole."""
+    for lo in range(0, len(columns[0]), CSV_FORMAT_ROWS):
+        yield np.column_stack([c[lo:lo + CSV_FORMAT_ROWS] for c in columns])
 
 
 @dataclass
@@ -321,35 +331,50 @@ def _initial_state(config: RunConfig) -> MeanFieldState:
     return MeanFieldState(config.params.pump_alpha0, config.alpha1, config.alpha2)
 
 
+def _meanfield_columns(block: np.ndarray, start: int, dt: float) -> np.ndarray:
+    """The (rows, 13) CSV columns of a ``(rows, 3)`` trajectory block whose
+    first row is sample ``start``: t = k * dt, the amplitudes' real and
+    imaginary parts, n_j = |a_j|^2 and the Manley-Rowe columns (n0 + n1,
+    n0 + n2, n1 - n2).
+
+    n_j is ``np.float_power(np.hypot(re, im), 2.0)``: libm's hypot and
+    pow, the calls behind Python's ``abs(a) ** 2``, so every bit matches
+    it.  (``np.abs(a) ** 2``, ``np.square`` and ``np.power`` do not.)
+    """
+    cols = np.empty((len(block), 13))
+    np.multiply(np.arange(start, start + len(block)), dt, out=cols[:, 0])
+    cols[:, 1:7] = block.view(float)
+    n = cols[:, 7:10]
+    np.float_power(np.hypot(cols[:, 1:7:2], cols[:, 2:7:2]), 2.0, out=n)
+    np.add(n[:, 0], n[:, 1], out=cols[:, 10])
+    np.add(n[:, 0], n[:, 2], out=cols[:, 11])
+    np.subtract(n[:, 1], n[:, 2], out=cols[:, 12])
+    return cols
+
+
 def _write_meanfield_csv(blocks, dt: float, out_path: Path) -> tuple[int, float, tuple]:
     """Write the mean-field time series from the trajectory's blocks as
     they come; returns (rows, max relative MR drift, last sample).
 
-    Row k is at time ``k * dt``.  The Manley-Rowe columns are
-    (n0 + n1, n0 + n2, n1 - n2).
+    The drift is max |mr - mr(0)| / max(|mr1(0)|, |mr2(0)|, 1e-300) over
+    rows, taken per block: division is monotone, so the block's largest
+    difference gives its largest ratio.
     """
     drift = 0.0
     last = None
 
     def rows():
         nonlocal drift, last
-        mr0 = None
         start = 0
         for block in blocks:
-            times = [k * dt for k in range(start, start + len(block))]
+            cols = _meanfield_columns(block, start, dt)
+            if start == 0:
+                mr0 = cols[0, 10:13].copy()
+                scale = max(abs(mr0[0]), abs(mr0[1]), 1e-300)
+            drift = max(drift, float(np.max(np.abs(cols[:, 10:13] - mr0)) / scale))
             start += len(block)
-            # one list of Python complex numbers per mode, not one list per row
-            for t, a0, a1, a2 in zip(times, *block.T.tolist()):
-                n0, n1, n2 = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2
-                mr1, mr2, mr3 = n0 + n1, n0 + n2, n1 - n2
-                if mr0 is None:
-                    mr0 = (mr1, mr2, mr3)
-                    scale = max(abs(mr1), abs(mr2), 1e-300)
-                drift = max(drift, max(abs(mr1 - mr0[0]), abs(mr2 - mr0[1]),
-                                       abs(mr3 - mr0[2])) / scale)
-                yield (t, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag,
-                       n0, n1, n2, mr1, mr2, mr3)
-            last = (a0, a1, a2)
+            last = tuple(block[-1].tolist())
+            yield cols
 
     header = ["t", "re_a0", "im_a0", "re_a1", "im_a1", "re_a2", "im_a2",
               "n0", "n1", "n2", "mr1", "mr2", "mr3"]
@@ -377,8 +402,8 @@ def _run_quantum(config: RunConfig, out_path: Path) -> ScenarioReport:
         psi0 = product_coherent_state(config.params.pump_alpha0, config.alpha1,
                                       config.alpha2, config.dims)
     result = evolve_state(h, psi0, steps * config.dt, steps + 1, config.dims)
-    rows = zip(result.times, *result.expectations.T, result.norm_deviations,
-               result.energies)
+    rows = _row_blocks(result.times, result.expectations,
+                       result.norm_deviations, result.energies)
     header = ["t", "n0", "n1", "n2", "norm_dev", "energy"]
     n_rows = write_csv_atomic(out_path, header, rows)
     ok = result.max_norm_deviation <= NORM_DEV_THRESHOLD
@@ -397,13 +422,13 @@ def _run_propagator_convergence(config: RunConfig, out_path: Path) -> ScenarioRe
     ns = [n for n in (64 * 2 ** k for k in range(12)) if n <= config.n_slices]
     if not ns:
         ns = [config.n_slices]
-    rows = []
+    errors = []
     for n in ns:
         path = free_mode_path(alpha, omega, t, n, pinned_end=alpha)
-        err = abs(product_propagator(path, free_params) - exact)
-        rows.append((n, err))
-    n_rows = write_csv_atomic(out_path, ["n", "abs_error"], rows)
-    errors = [r[1] for r in rows]
+        errors.append(abs(product_propagator(path, free_params) - exact))
+    # n <= 2^17 prints the same under %.17g as an integer
+    n_rows = write_csv_atomic(out_path, ["n", "abs_error"],
+                              _row_blocks(np.array(ns), np.array(errors)))
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     diags = [("error range", f"{errors[0]:.3e} -> {errors[-1]:.3e}"),
              ("monotone decrease", "yes" if monotone else "NO")]
@@ -416,8 +441,9 @@ def _run_action_check(config: RunConfig, out_path: Path) -> ScenarioReport:
     path = path_from_trajectory(traj)
     diffs = lagrangian_difference(path, config.params,
                                   -config.params.kappa_prime)
+    times = np.arange(len(diffs)) * config.dt
     n_rows = write_csv_atomic(out_path, ["t", "abs_diff"],
-                              zip(traj.times(), diffs.tolist()))
+                              _row_blocks(times, diffs))
     worst = float(np.max(diffs))
     ok = worst <= ACTION_CHECK_THRESHOLD
     diags = [("max |L - L_alt| at eta = -kappa'",
@@ -428,8 +454,8 @@ def _run_action_check(config: RunConfig, out_path: Path) -> ScenarioReport:
 def _run_thermal_ensemble(config: RunConfig, out_path: Path) -> ScenarioReport:
     stats = fluorescence_ensemble(config.params, config.thermal,
                                   config.t_final, config.dt, config.n_samples)
-    rows = zip(stats.times, stats.mean_n1, stats.var_n1,
-               stats.mean_n2, stats.var_n2)
+    rows = _row_blocks(stats.times, stats.mean_n1, stats.var_n1,
+                       stats.mean_n2, stats.var_n2)
     header = ["t", "mean_n1", "var_n1", "mean_n2", "var_n2"]
     n_rows = write_csv_atomic(out_path, header, rows)
     diags = [("samples", f"{stats.n_samples} ({stats.n_failures} diverged)")]
@@ -479,7 +505,7 @@ def _run_sweep(config: RunConfig, out_path: Path) -> ScenarioReport:
             gain = n1_t / n1_0 if n1_0 > 0 else float("nan")
             aggregate_rows.append((float(value), n1_t, abs(a2_t) ** 2, gain))
         header = [config.sweep_key, "n1_final", "n2_final", "gain_n1"]
-        n_rows = write_csv_atomic(out_path, header, aggregate_rows)
+        n_rows = write_csv_atomic(out_path, header, [np.array(aggregate_rows)])
     except BaseException:
         for path, _ in outputs:
             with contextlib.suppress(OSError):

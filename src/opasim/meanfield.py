@@ -78,9 +78,6 @@ class Trajectory:
     def t_final(self) -> float:
         return (len(self.samples) - 1) * self.dt
 
-    def times(self) -> list[float]:
-        return [k * self.dt for k in range(len(self.samples))]
-
 
 def num_steps(t_final: float, dt: float) -> int:
     """Whole steps of size dt fitting into t_final (rounding-tolerant); a
@@ -169,18 +166,23 @@ def _rk4_blocks(a, coeffs, steps: int, dt: float) -> Iterator[np.ndarray]:
     flat = [a0, a1, a2]
     for start in range(0, steps + 1, TRAJECTORY_BLOCK_ROWS):
         extend = flat.extend
-        for r in range(max(start, 1), min(start + TRAJECTORY_BLOCK_ROWS, steps + 1)):
-            a = rk4_step(a0, a1, a2, dt, coeffs)
-            a0, a1, a2 = a
-            # NaN and inf both fail the comparison
-            if not (abs(a0) < DIVERGENCE_LIMIT and abs(a1) < DIVERGENCE_LIMIT
-                    and abs(a2) < DIVERGENCE_LIMIT):
-                raise DivergenceError(
-                    f"mean-field amplitudes diverged at t = {r * dt:.6g}",
-                    time=r * dt,
-                )
+        first = max(start, 1)  # s0 is a given, not a step
+        for _ in range(first, min(start + TRAJECTORY_BLOCK_ROWS, steps + 1)):
+            a0, a1, a2 = a = rk4_step(a0, a1, a2, dt, coeffs)
             extend(a)
-        yield np.array(flat, dtype=complex).reshape(-1, 3)
+        block = np.array(flat, dtype=complex).reshape(-1, 3)
+        # the guard, once per block: np.hypot is the libm call behind
+        # Python's abs(complex), so the first failing row is the one a
+        # per-step check finds; NaN and inf both fail the comparison
+        stepped = block[first - start:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.all(np.hypot(stepped.real, stepped.imag) < DIVERGENCE_LIMIT,
+                          axis=1)
+        if bad.any():
+            t = (first + int(np.argmax(bad))) * dt
+            raise DivergenceError(
+                f"mean-field amplitudes diverged at t = {t:.6g}", time=t)
+        yield block
         flat = []
 
 

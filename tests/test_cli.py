@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opasim
-from opasim import meanfield, quantum
+from opasim import cli, meanfield, quantum
 from opasim.cli import (
     SCENARIOS,
     SWEEPABLE_KEYS,
@@ -25,6 +25,7 @@ from opasim.cli import (
     write_csv_atomic,
 )
 from opasim.errors import ConfigError, ResourceLimitError
+from opasim.meanfield import MeanFieldState, integrate_rk4, trajectory_blocks
 
 MINIMAL_MEANFIELD = """\
 scenario = meanfield
@@ -594,9 +595,7 @@ class TestMainExitCodes:
 
 
 def _fmt(value) -> str:
-    """One CSV field as the writer has always rendered it."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """One CSV field as the writer has always rendered a float."""
     return f"{float(value):.17g}"
 
 
@@ -605,36 +604,132 @@ class TestWriteCsvAtomic:
         (0.0, -0.0, 1.5, -2.25),
         (float("inf"), float("-inf"), float("nan"), 5e-324),
         (1e308, -1e308, 2.2250738585072014e-308, 0.1),
-        (0, -7, 2 ** 70, True),
-        (np.int64(-3), np.uint64(2 ** 64 - 1), np.int32(12), np.int8(-128)),
         (np.float64(1 / 3), np.float32(0.1), np.float16(65504), np.float64(-0.0)),
-        (3, 0.5, np.int64(4), np.float64(2.5)),
-        (np.float64("nan"), 10 ** 17, 1e17, 123456789012345678),
+        (1.0, 64.0, 1e17, 2.5),
     ]
 
-    def test_bytes_match_field_formatter(self, tmp_path):
+    def test_bytes_match_field_formatter(self, tmp_path, monkeypatch):
+        """Blocks of any length, float64 or float32, split over several
+        %-format calls, render every field as '%.17g' of its float."""
+        monkeypatch.setattr(cli, "CSV_FORMAT_ROWS", 2)
         path = tmp_path / "rows.csv"
-        n_rows = write_csv_atomic(path, ["a", "b", "c", "d"], iter(self.ROWS))
+        blocks = [np.array(self.ROWS[:3]), np.empty((0, 4)),
+                  np.array(self.ROWS[3:]), np.array([self.ROWS[3]], dtype=np.float32)]
+        n_rows = write_csv_atomic(path, ["a", "b", "c", "d"], iter(blocks))
+        rows = self.ROWS + [tuple(np.float32(v) for v in self.ROWS[3])]
         want = "a,b,c,d\n" + "".join(
-            ",".join(_fmt(v) for v in row) + "\n" for row in self.ROWS)
-        assert n_rows == len(self.ROWS)
+            ",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        assert n_rows == len(rows)
         assert path.read_bytes() == want.encode("utf-8")
 
     def test_list_rows_and_empty_input(self, tmp_path):
         path = tmp_path / "rows.csv"
-        assert write_csv_atomic(path, ["n", "x"], [[1, 0.25], [2, -0.0]]) == 2
+        assert write_csv_atomic(path, ["n", "x"], [np.array([[1, 0.25], [2, -0.0]])]) == 2
         assert path.read_bytes() == b"n,x\n1,0.25\n2,-0\n"
         assert write_csv_atomic(path, ["n"], []) == 0
         assert path.read_bytes() == b"n\n"
 
+    def test_rows_per_call_change_no_byte(self, tmp_path, monkeypatch):
+        """Every scenario writes the same files and bytes at 3 rows per
+        %-format call as at the default: row blocks split and stack
+        without loss."""
+        written = []
+        for rows_per_call in (cli.CSV_FORMAT_ROWS, 3):
+            monkeypatch.setattr(cli, "CSV_FORMAT_ROWS", rows_per_call)
+            out = tmp_path / str(rows_per_call)
+            out.mkdir()
+            for name, extra in _SMALL_RUNS.items():
+                cfg = _write(tmp_path, f"{name}.cfg", MINIMAL_MEANFIELD.replace(
+                    "scenario = meanfield", f"scenario = {name}") + extra)
+                assert main([str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+            written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert len(written[0]) == len(_SMALL_RUNS) + 2  # a sweep writes 3 files
+        assert written[0] == written[1]
+
     def test_failed_write_leaves_nothing(self, tmp_path):
-        def rows():
-            yield (1.0,)
+        def blocks():
+            yield np.array([[1.0]])
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError):
-            write_csv_atomic(tmp_path / "x.csv", ["x"], rows())
+            write_csv_atomic(tmp_path / "x.csv", ["x"], blocks())
         assert not list(tmp_path.iterdir())
+
+
+def _per_row_meanfield_csv(samples, dt):
+    """The mean-field CSV of a trajectory as the per-row writer rendered
+    it: Python's abs(a) ** 2, k * dt and one '%.17g' per field; returns
+    the bytes and the max relative Manley-Rowe drift."""
+    lines = ["t,re_a0,im_a0,re_a1,im_a1,re_a2,im_a2,n0,n1,n2,mr1,mr2,mr3\n"]
+    drift = 0.0
+    for k, (a0, a1, a2) in enumerate(samples.tolist()):
+        n0, n1, n2 = abs(a0) ** 2, abs(a1) ** 2, abs(a2) ** 2
+        mr = (n0 + n1, n0 + n2, n1 - n2)
+        if k == 0:
+            mr0, scale = mr, max(abs(mr[0]), abs(mr[1]), 1e-300)
+        drift = max(drift, max(abs(x - x0) for x, x0 in zip(mr, mr0)) / scale)
+        fields = (k * dt, a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag,
+                  n0, n1, n2, *mr)
+        lines.append(",".join("%.17g" % v for v in fields) + "\n")
+    return "".join(lines).encode("utf-8"), drift
+
+
+class TestMeanfieldCsvBytes:
+    """The column-block mean-field writer against the per-row one."""
+
+    @pytest.mark.parametrize("edits,signed_zero", [
+        ({}, False),
+        # the daughters stay at signed zeros, which print as -0
+        ({"alpha1_re = 0.3": "alpha1_re = 0", "alpha2_im = 0.4": "alpha2_im = -0.0"},
+         True),
+        ({"kappa = 0.2": "kappa = 0"}, False),
+    ], ids=["coherent", "zero-daughters", "kappa-0"])
+    def test_meanfield_and_sweep_csvs_match_per_row_writer(
+            self, tmp_path, monkeypatch, edits, signed_zero):
+        """Small blocks and %-format calls, so a run crosses several of
+        both; every CSV and the drift match the per-row writer's."""
+        monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", 7)
+        monkeypatch.setattr(cli, "CSV_FORMAT_ROWS", 3)
+        text = MINIMAL_MEANFIELD + "phi = 0.4\nalpha0_im = -0.7\nalpha2_im = 0.4\n"
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        sweep = text.replace("scenario = meanfield", "scenario = sweep") + (
+            "sweep_key = phi\nsweep_start = -0.5\nsweep_stop = 0.5\n"
+            "sweep_count = 2\noutput = sweep.csv\n")
+        for name, cfg in (("meanfield", text), ("sweep", sweep)):
+            assert main([str(_write(tmp_path, f"{name}.cfg", cfg)),
+                         "--output-dir", str(tmp_path), "--quiet"]) == 0
+        config = parse_config(text)
+        runs = [(config, tmp_path / "meanfield.csv")] + [
+            (cli._config_with_sweep_value(parse_config(sweep), phi),
+             tmp_path / f"sweep_{i:03d}.csv") for i, phi in enumerate((-0.5, 0.5))]
+        for run_config, path in runs:
+            s0 = MeanFieldState(run_config.params.pump_alpha0, run_config.alpha1,
+                                run_config.alpha2)
+            samples = integrate_rk4(s0, run_config.params, 1.0, 0.01).samples
+            want, want_drift = _per_row_meanfield_csv(samples, 0.01)
+            assert path.read_bytes() == want
+            _, blocks = trajectory_blocks(s0, run_config.params, 1.0, 0.01)
+            n_rows, drift, last = cli._write_meanfield_csv(
+                blocks, 0.01, tmp_path / "direct.csv")
+            assert (n_rows, drift, last) == (101, want_drift, tuple(samples[-1]))
+        assert (b",-0," in (tmp_path / "meanfield.csv").read_bytes()) == signed_zero
+
+    def test_occupations_match_python_abs_squared(self):
+        """n_j is Python's abs(a) ** 2 bit for bit, over magnitudes 1e-8
+        to 1e4, signed zeros and subnormal parts."""
+        rng = np.random.default_rng(7)
+        magnitudes = 10 ** rng.uniform(-8, 4, 30000)
+        amplitudes = magnitudes * np.exp(2j * np.pi * rng.random(30000))
+        special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                   complex(5e-324, 0.0), complex(-5e-324, 1e-310),
+                   complex(2.2250738585072014e-308, -4e-320), complex(1e-8, -5e-324),
+                   complex(-1e4, 5e-324), complex(3.0, 4.0), complex(-1e4, -1e4)]
+        amplitudes = np.concatenate([special, amplitudes])
+        amplitudes = amplitudes[:len(amplitudes) // 3 * 3].reshape(-1, 3)
+        n = cli._meanfield_columns(amplitudes, 0, 0.01)[:, 7:10]
+        want = np.array([abs(a) ** 2 for a in amplitudes.ravel().tolist()])
+        assert n.ravel().tobytes() == want.tobytes()
 
 
 #: Counts beyond every cap, which must stop a run (exit 4) before it

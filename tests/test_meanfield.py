@@ -18,11 +18,15 @@ from opasim import meanfield
 from opasim.errors import DivergenceError, ResourceLimitError
 from opasim.fockspace import ModeParams
 from opasim.meanfield import (
+    DIVERGENCE_LIMIT,
     MeanFieldState,
     Trajectory,
     derivatives,
     integrate_rk4,
     manley_rowe,
+    num_steps,
+    rhs_coefficients,
+    rk4_step,
     trajectory_blocks,
     undepleted_pump_solution,
 )
@@ -115,12 +119,36 @@ class TestIntegrateRk4:
         assert len(traj.samples) == 11  # last multiple of dt below t_final
         assert traj.dt == 1e-3
 
-    def test_divergence_guard_reports_time(self):
-        """An unstable step size must abort with the blow-up time."""
-        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=5.0)
-        with pytest.raises(DivergenceError) as excinfo:
-            integrate_rk4(MeanFieldState(4.0, 2.0, 2.0), params, 100.0, 10.0)
-        assert excinfo.value.time is not None
+    def test_divergence_guard_reports_time(self, monkeypatch):
+        """The guard, checked once per block of rows, stops at the first
+        step that leaves it and reports that step's time: the step a
+        per-step check finds when stepping rk4_step here."""
+        cases = [
+            # kappa = 5 at dt = 10: step 1 leaves the guard, in block 0
+            (MeanFieldState(4.0, 2.0, 2.0), 5.0, 10.0, 100.0, 4096, 0, False),
+            # free RK4 at omega0 * dt = 3: the pump grows 50% a step and
+            # leaves the guard mid-block, in block 8 of 4 rows
+            (MeanFieldState(2.0, 0.3, 0j), 0.0, 1.5, 300.0, 4, 8, False),
+            # kappa = 1e200: step 1 overflows to NaN, in block 1 of 1 row
+            (MeanFieldState(1.0, 1.0, 1.0), 1e200, 0.1, 1.0, 1, 1, True),
+        ]
+        for s0, kappa, dt, t_final, block_rows, block, nan in cases:
+            monkeypatch.setattr(meanfield, "TRAJECTORY_BLOCK_ROWS", block_rows)
+            params = ModeParams(2.0, 1.2, 0.8, kappa_mag=kappa)
+            a = s0.as_tuple()
+            for r in range(1, num_steps(t_final, dt) + 1):
+                a = rk4_step(*a, dt, rhs_coefficients(params))
+                if not all(abs(x) < DIVERGENCE_LIMIT for x in a):
+                    break
+            else:
+                pytest.fail("the reference run stays inside the guard")
+            assert r // block_rows == block
+            assert any(cmath.isnan(x) for x in a) == nan
+            with pytest.raises(DivergenceError) as excinfo:
+                integrate_rk4(s0, params, t_final, dt)
+            assert excinfo.value.time == r * dt
+            assert str(excinfo.value) == (
+                f"mean-field amplitudes diverged at t = {r * dt:.6g}")
 
     def test_sample_cap_checked_before_integrating(self):
         # the block producer checks on the call, not on the first block
@@ -243,7 +271,6 @@ class TestTrajectoryType:
     def test_uniform_grid_metadata(self):
         traj = Trajectory(dt=0.5, samples=np.zeros((5, 3), dtype=complex))
         assert traj.t_final == 2.0
-        assert traj.times() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
