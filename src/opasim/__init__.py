@@ -28,13 +28,11 @@ from .fockspace import (
     build_hamiltonian,
     build_hamiltonian_sparse,
     coherent_state,
-    embed_mode,
     product_coherent_state,
 )
 from .meanfield import (
     MeanFieldState,
     Trajectory,
-    derivatives,
     integrate_rk4,
     manley_rowe,
     undepleted_pump_solution,
@@ -44,13 +42,11 @@ from .pathintegral import (
     classical_action,
     path_from_trajectory,
     product_propagator,
-    slice_kernel,
     stationary_propagator,
 )
 from .quantum import (
     EvolutionResult,
     evolve_state,
-    expectation_number,
     fluorescence_from_vacuum,
     propagator_exact,
 )
@@ -84,10 +80,7 @@ __all__ = [
     "build_hamiltonian_sparse",
     "classical_action",
     "coherent_state",
-    "derivatives",
-    "embed_mode",
     "evolve_state",
-    "expectation_number",
     "fluorescence_ensemble",
     "fluorescence_from_vacuum",
     "integrate_rk4",
@@ -98,7 +91,6 @@ __all__ = [
     "product_propagator",
     "propagator_exact",
     "sample_thermal_amplitude",
-    "slice_kernel",
     "stationary_propagator",
     "undepleted_pump_solution",
 ]

@@ -9,9 +9,10 @@ so that hbar = 1 and all frequencies are angular.  The pump/signal/idler
 coupling carries a single constant phase-mismatch angle ``phi`` folded into
 the effective coupling ``kappa' = kappa * exp(-i*phi)``.
 
-Operators are plain dense complex ``numpy`` arrays; states are dense complex
-vectors of unit norm.  A sparse Hamiltonian builder is provided for the
-larger spaces where Krylov propagation beats a full eigendecomposition.
+States are dense complex vectors of unit norm.  The Hamiltonian is built
+from the embedded ladder operators as a scipy sparse matrix, and as a
+dense array for small spaces; both serve as the oracle for the
+charge-sector form of :mod:`opasim.quantum`.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class TruncationDims:
         """Truncation of a single mode (0 = pump, 1 = signal, 2 = idler)."""
         return (self.d0, self.d1, self.d2)[mode]
 
-    def swapped(self) -> "TruncationDims":
-        """Dims with the signal and idler truncations exchanged."""
-        return TruncationDims(self.d0, self.d2, self.d1)
-
 
 @dataclass(frozen=True)
 class ModeParams:
@@ -157,12 +154,6 @@ class ModeParams:
     def omegas(self) -> tuple[float, float, float]:
         return (self.omega0, self.omega1, self.omega2)
 
-    def swapped(self) -> "ModeParams":
-        """Parameters with the signal and idler roles exchanged."""
-        return ModeParams(self.omega0, self.omega2, self.omega1,
-                          self.kappa_mag, self.phi, self.pump_alpha0,
-                          self.include_zero_point)
-
 
 def build_annihilation(d: int) -> np.ndarray:
     """Single-mode annihilation operator on a d-level ladder.
@@ -177,27 +168,18 @@ def build_annihilation(d: int) -> np.ndarray:
     return a
 
 
-def embed_mode(op: np.ndarray, mode_index: int, dims: TruncationDims) -> np.ndarray:
-    """Lift a single-mode operator to the full three-mode space.
+def _embedded(op, mode: int, dims: TruncationDims) -> sparse.csr_matrix:
+    """A single-mode operator on the three-mode space, as CSR.
 
-    The embedding is a Kronecker product with identities on the other two
-    factors, consistent with the mode-0-slowest basis ordering.
+    The Kronecker product with identities on the other two modes, in the
+    mode-0-slowest basis order.
     """
-    if mode_index not in (0, 1, 2):
-        raise ValueError(f"mode_index must be 0, 1 or 2, got {mode_index!r}")
-    op = np.asarray(op, dtype=complex)
-    d = dims.dim(mode_index)
-    if op.shape != (d, d):
-        raise ValueError(
-            f"operator shape {op.shape} does not match mode {mode_index} "
-            f"dimension {d}"
-        )
-    dims.check_dense()
-    eyes = [np.eye(dims.d0, dtype=complex),
-            np.eye(dims.d1, dtype=complex),
-            np.eye(dims.d2, dtype=complex)]
-    factors = [op if m == mode_index else eyes[m] for m in range(3)]
-    return np.kron(factors[0], np.kron(factors[1], factors[2]))
+    from scipy import sparse  # only the oracle needs scipy; keep it off the CLI's import
+
+    sizes = (dims.d0, dims.d1, dims.d2)
+    left = sparse.identity(math.prod(sizes[:mode]), format="coo")
+    right = sparse.identity(math.prod(sizes[mode + 1:]), format="coo")
+    return sparse.kron(sparse.kron(left, op, format="coo"), right, format="csr")
 
 
 def occupation_arrays(dims: TruncationDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,79 +192,43 @@ def occupation_arrays(dims: TruncationDims) -> tuple[np.ndarray, np.ndarray, np.
     return n0, n1, n2
 
 
-def basis_index(n0: int, n1: int, n2: int, dims: TruncationDims) -> int:
-    """Flat index of the joint number state |n0, n1, n2>."""
-    if not (0 <= n0 < dims.d0 and 0 <= n1 < dims.d1 and 0 <= n2 < dims.d2):
-        raise ValueError(f"occupation ({n0}, {n1}, {n2}) outside {dims}")
-    return (n0 * dims.d1 + n1) * dims.d2 + n2
-
-
-def basis_state(n0: int, n1: int, n2: int, dims: TruncationDims) -> np.ndarray:
-    """Unit vector for the joint number state |n0, n1, n2>."""
-    dims.check_dense()
-    psi = np.zeros(dims.total, dtype=complex)
-    psi[basis_index(n0, n1, n2, dims)] = 1.0
-    return psi
-
-
-def _hamiltonian_pieces(params: ModeParams, dims: TruncationDims):
-    """Diagonal and interaction triples (rows, cols, vals) of the Hamiltonian.
-
-    The interaction kappa' a0 a1+ a2+ maps |n0, n1, n2> to
-    |n0-1, n1+1, n2+1> with amplitude kappa' * sqrt(n0 (n1+1) (n2+1)); the
-    Hermitian conjugate supplies the reverse entries.
-    """
-    n0, n1, n2 = occupation_arrays(dims)
-    diag = params.omega0 * n0 + params.omega1 * n1 + params.omega2 * n2
-    diag = diag.astype(float)
-    if params.include_zero_point:
-        diag = diag + 0.5 * (params.omega0 + params.omega1 + params.omega2)
-
-    src = np.flatnonzero((n0 >= 1) & (n1 <= dims.d1 - 2) & (n2 <= dims.d2 - 2))
-    # index shift for (n0-1, n1+1, n2+1) in the mode-0-slowest ordering
-    dst = src - dims.d1 * dims.d2 + dims.d2 + 1
-    amp = params.kappa_prime * np.sqrt(
-        n0[src] * (n1[src] + 1.0) * (n2[src] + 1.0)
-    )
-    rows = np.concatenate([dst, src])
-    cols = np.concatenate([src, dst])
-    vals = np.concatenate([amp, np.conj(amp)])
-    return diag, rows, cols, vals
-
-
 def build_hamiltonian(params: ModeParams, dims: TruncationDims) -> np.ndarray:
-    """Dense three-mode Hamiltonian.
+    """Dense form of :func:`build_hamiltonian_sparse`.
 
-    H = omega0*n0 + omega1*n1 + omega2*n2
-        + kappa' a0 a1+ a2+ + conj(kappa') a0+ a1 a2,
-
-    optionally plus the constant (omega0 + omega1 + omega2)/2 on the
-    diagonal when ``params.include_zero_point`` is set.  Hermitian by
-    construction.  Raises :class:`ResourceLimitError` above
-    ``DENSE_OPERATOR_LIMIT`` states.
+    Raises :class:`ResourceLimitError` above ``DENSE_OPERATOR_LIMIT``
+    states.
     """
     if dims.total > DENSE_OPERATOR_LIMIT:
         raise ResourceLimitError(
             f"dense Hamiltonian of dimension {dims.total} exceeds the dense "
             f"limit {DENSE_OPERATOR_LIMIT}; use build_hamiltonian_sparse"
         )
-    diag, rows, cols, vals = _hamiltonian_pieces(params, dims)
-    h = np.zeros((dims.total, dims.total), dtype=complex)
-    np.fill_diagonal(h, diag)
-    h[rows, cols] += vals
-    return h
+    return build_hamiltonian_sparse(params, dims).toarray()
 
 
 def build_hamiltonian_sparse(params: ModeParams, dims: TruncationDims) -> sparse.csr_matrix:
-    """CSR version of :func:`build_hamiltonian` for Krylov propagation."""
+    """Three-mode Hamiltonian from the embedded ladder operators A_j, as CSR:
+
+    H = omega0 A0+ A0 + omega1 A1+ A1 + omega2 A2+ A2 + V + V+,
+    V = kappa' A0 A1+ A2+,
+
+    optionally plus the constant (omega0 + omega1 + omega2)/2 when
+    ``params.include_zero_point`` is set.  Hermitian by construction.
+    This is the oracle for the charge-sector form
+    (:func:`opasim.quantum.system_hamiltonian`), which builds its chains
+    apart from it.  Raises :class:`ResourceLimitError` before building
+    anything if d0*d1*d2 exceeds ``DEFAULT_DIM_CAP``.
+    """
+    dims.check_dense()
     from scipy import sparse  # only the oracle needs scipy; keep it off the CLI's import
 
-    diag, rows, cols, vals = _hamiltonian_pieces(params, dims)
-    n = dims.total
-    all_rows = np.concatenate([np.arange(n), rows])
-    all_cols = np.concatenate([np.arange(n), cols])
-    all_vals = np.concatenate([diag.astype(complex), vals])
-    return sparse.csr_matrix((all_vals, (all_rows, all_cols)), shape=(n, n))
+    a = [_embedded(build_annihilation(dims.dim(mode)), mode, dims) for mode in range(3)]
+    up = [op.conj().T for op in a]
+    v = params.kappa_prime * (a[0] @ up[1] @ up[2])
+    h = sum(w * (up[j] @ a[j]) for j, w in enumerate(params.omegas)) + v + v.conj().T
+    if params.include_zero_point:
+        h = h + 0.5 * sum(params.omegas) * sparse.identity(dims.total)
+    return sparse.csr_matrix(h)
 
 
 def coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:

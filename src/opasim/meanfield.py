@@ -131,11 +131,6 @@ def rk4_step(a0, a1, a2, dt: float, coeffs):
             a2 + w * (k12 + 2 * k22 + 2 * k32 + k42))
 
 
-def derivatives(s: MeanFieldState, params: ModeParams) -> MeanFieldState:
-    """Time-derivative triple of the mean-field equations at state ``s``."""
-    return MeanFieldState(*_rhs(*s.as_tuple(), rhs_coefficients(params)))
-
-
 def trajectory_blocks(s0: MeanFieldState, params: ModeParams, t_final: float,
                       dt: float) -> tuple[int, Iterator[np.ndarray]]:
     """The classic fixed-step RK4 trajectory from ``s0``, in blocks of rows.

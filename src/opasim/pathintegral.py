@@ -130,16 +130,6 @@ def _slice_kernels(labels: np.ndarray, eta: float, params: ModeParams) -> np.nda
     return np.exp(overlap_exp) * (1.0 - 1j * eta * h)
 
 
-def slice_kernel(prev: Triple, next: Triple, eta: float,
-                 params: ModeParams) -> complex:
-    """Short-time kernel <next| (1 - i eta H) |prev> between coherent labels."""
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    _warn_if_coarse(eta, params)
-    labels = np.array([prev, next], dtype=complex)
-    return complex(_slice_kernels(labels, eta, params)[0])
-
-
 def _guarded_product(kernels: np.ndarray) -> complex:
     """Product of the kernels in slice order.
 
@@ -177,7 +167,7 @@ def product_propagator(path: SlicedPath, params: ModeParams) -> complex:
     return _guarded_product(_slice_kernels(path.labels, path.eta, params))
 
 
-def _time_derivatives(labels: np.ndarray, dt: float) -> np.ndarray:
+def _finite_differences(labels: np.ndarray, dt: float) -> np.ndarray:
     """Centered differences in the interior, one-sided at the endpoints."""
     dot = np.empty_like(labels)
     dot[1:-1] = (labels[2:] - labels[:-2]) / (2.0 * dt)
@@ -189,7 +179,7 @@ def _time_derivatives(labels: np.ndarray, dt: float) -> np.ndarray:
 def _free_lagrangian(path: SlicedPath, params: ModeParams) -> np.ndarray:
     """Kinetic minus free-oscillator part of L at every path sample (real)."""
     labels = path.labels
-    dot = _time_derivatives(labels, path.eta)
+    dot = _finite_differences(labels, path.eta)
     kinetic = -np.sum(np.imag(np.conj(labels) * dot), axis=1)
     omegas = np.array(params.omegas)
     free = np.sum(omegas[None, :] * np.abs(labels) ** 2, axis=1)

@@ -21,6 +21,7 @@ energy and of the three-wave-mixing charges n0+n1, n0+n2, n1-n2.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,7 +33,6 @@ from .fockspace import (
     STATE_SAMPLE_CAP,
     ModeParams,
     TruncationDims,
-    coherent_amplitudes,
     coherent_state,
     occupation_arrays,
     product_coherent_state,
@@ -56,11 +56,6 @@ LEAKAGE_TOL = 1e-6
 #: chunks.  The largest block of any op in ``perfbench`` is 1.23 MB, so
 #: those run as one chunk.
 CHAIN_BLOCK_BYTES = 4 * 2**20
-
-#: Points per axis and half-width of the coherent-label grid on which
-#: :func:`chain_rule_compose` resolves the identity.
-COMPOSE_GRID_POINTS = 41
-COMPOSE_GRID_RADIUS = 4.0
 
 
 @dataclass
@@ -204,7 +199,9 @@ class ChainState:
     so :func:`evolve_state` evolves it without a dense d0*d1*d2 vector:
     its cost and its cap (``STATE_SAMPLE_CAP``, on :attr:`entries` per
     sample) follow the occupied chains, not d0*d1*d2.  ``shape`` is the
-    dense state's, for the checks the two forms share.
+    dense state's, for the checks the two forms share.  A non-finite
+    ``alpha0``, or levels that are not integers on the ladders, raise
+    :class:`ValueError`.
     """
 
     alpha0: complex
@@ -213,6 +210,11 @@ class ChainState:
     n2: int = 0
 
     def __post_init__(self):
+        if not cmath.isfinite(self.alpha0):
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0!r}")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.n1, self.n2)):
+            raise ValueError(
+                f"signal/idler levels must be integers, got ({self.n1!r}, {self.n2!r})")
         if not (0 <= self.n1 < self.dims.d1 and 0 <= self.n2 < self.dims.d2):
             raise ValueError(
                 f"signal/idler levels ({self.n1}, {self.n2}) outside {self.dims}")
@@ -455,17 +457,6 @@ def system_hamiltonian(params: ModeParams, dims: TruncationDims) -> SectorHamilt
     return SectorHamiltonian(params, dims)
 
 
-def _boundary_mask(dims: TruncationDims) -> np.ndarray:
-    """Basis states with any mode at its top Fock level."""
-    n0, n1, n2 = occupation_arrays(dims)
-    return (n0 == dims.d0 - 1) | (n1 == dims.d1 - 1) | (n2 == dims.d2 - 1)
-
-
-def top_level_population(psi: np.ndarray, dims: TruncationDims) -> float:
-    """Probability weight on states with any mode at its top Fock level."""
-    return float(np.sum(np.abs(psi[_boundary_mask(dims)]) ** 2))
-
-
 def evolve_state(h, psi0, t_final: float, n_samples: int,
                  dims: TruncationDims) -> EvolutionResult:
     """Evolve ``psi0`` under ``h`` and sample uniformly on [0, t_final].
@@ -530,7 +521,8 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
         norm_sq = np.sum(probs, axis=1)
         n0, n1, n2 = occupation_arrays(dims)
         occupations = np.stack([probs @ n0, probs @ n1, probs @ n2], axis=1)
-        leakage = np.sum(probs[:, _boundary_mask(dims)], axis=1)
+        on_top = (n0 == dims.d0 - 1) | (n1 == dims.d1 - 1) | (n2 == dims.d2 - 1)
+        leakage = np.sum(probs[:, on_top], axis=1)
 
         def assemble():
             return states
@@ -553,18 +545,6 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
     return EvolutionResult(times=times, expectations=expectations,
                            energies=energies, norm_deviations=norm_dev,
                            leakage=leakage, assemble=assemble, warnings=notes)
-
-
-def expectation_number(psi: np.ndarray, mode: int, dims: TruncationDims) -> float:
-    """<psi| n_mode |psi>, clamped at zero from below."""
-    psi = np.asarray(psi)
-    if psi.shape[0] != dims.total:
-        raise ValueError(
-            f"state length {psi.shape[0]} does not match dims.total {dims.total}"
-        )
-    occ = occupation_arrays(dims)[mode]
-    value = float(np.sum(occ * np.abs(psi) ** 2))
-    return max(value, 0.0)
 
 
 def propagator_exact(params: ModeParams, dims: TruncationDims,
@@ -595,41 +575,3 @@ def fluorescence_from_vacuum(params: ModeParams, dims: TruncationDims,
     psi0 = ChainState(params.pump_alpha0, dims)
     h = system_hamiltonian(params, dims)
     return evolve_state(h, psi0, t_final, n_samples, dims)
-
-
-def single_mode_propagator(omega: float, alpha_a: complex, alpha_b: complex,
-                           t: float, d: int) -> complex:
-    """<alpha_b| e^{-i omega n t} |alpha_a> on a truncated single-mode ladder."""
-    ca = coherent_state(alpha_a, d)
-    cb = coherent_state(alpha_b, d)
-    phases = np.exp(-1j * omega * np.arange(d) * t)
-    return complex(np.vdot(cb, phases * ca))
-
-
-def chain_rule_compose(omega: float, alpha_a: complex, alpha_b: complex,
-                       t: float, d: int) -> complex:
-    """Single-mode propagator rebuilt by resolving the identity at t/2.
-
-    Approximates
-
-        integral d^2 beta / pi  <alpha_b|U(t/2)|beta> <beta|U(t/2)|alpha_a>
-
-    on the square Re/Im grid of coherent labels set by
-    ``COMPOSE_GRID_POINTS`` and ``COMPOSE_GRID_RADIUS``.  The grid states
-    enter raw (unnormalized): the identity resolution holds for the
-    truncated Gaussian amplitudes as they are, and renormalizing them would
-    re-weight the poorly-truncated corners of the grid.
-    """
-    xs = np.linspace(-COMPOSE_GRID_RADIUS, COMPOSE_GRID_RADIUS, COMPOSE_GRID_POINTS)
-    step = xs[1] - xs[0]
-    betas = (xs[:, None] + 1j * xs[None, :]).ravel()
-    grid = np.array([coherent_amplitudes(beta, d) for beta in betas])
-
-    half_phases = np.exp(-1j * omega * np.arange(d) * t / 2.0)
-    ca = coherent_state(alpha_a, d)
-    cb = coherent_state(alpha_b, d)
-
-    right = grid.conj() @ (half_phases * ca)          # <beta|U|alpha_a>
-    left = (grid * half_phases[None, :]) @ cb.conj()  # <alpha_b|U|beta>
-    total = np.sum(left * right) * step * step / np.pi
-    return complex(total)

@@ -17,19 +17,22 @@ from opasim.errors import ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
     ModeParams,
     TruncationDims,
-    basis_index,
-    basis_state,
+    _embedded,
     build_annihilation,
     build_hamiltonian,
     build_hamiltonian_sparse,
     coherent_amplitudes,
     coherent_state,
-    embed_mode,
     occupation_arrays,
     product_coherent_state,
 )
 
 RNG = np.random.default_rng(101)
+
+
+def flat_index(n0, n1, n2, dims):
+    """Position of |n0, n1, n2> in the mode-0-slowest basis."""
+    return int(np.ravel_multi_index((n0, n1, n2), (dims.d0, dims.d1, dims.d2)))
 
 
 def random_params(rng, kappa_max=0.5, pump=0j):
@@ -75,38 +78,38 @@ class TestAnnihilation:
 
 
 class TestEmbedding:
+    """The Kronecker embedding the Hamiltonian builder lifts each mode's
+    ladder operator with."""
+
     def test_identity_embeds_to_identity(self):
         dims = TruncationDims(2, 3, 4)
         for mode in range(3):
-            op = embed_mode(np.eye(dims.dim(mode)), mode, dims)
-            np.testing.assert_array_equal(op, np.eye(dims.total))
+            op = _embedded(np.eye(dims.dim(mode)), mode, dims)
+            np.testing.assert_array_equal(op.toarray(), np.eye(dims.total))
 
     def test_number_operator_on_basis_state(self):
-        """n1 embedded in dims (2,2,2) gives eigenvalue 1 on |0,1,0>."""
-        dims = TruncationDims(2, 2, 2)
-        a = build_annihilation(2)
-        n1 = embed_mode(a.conj().T @ a, 1, dims)
-        psi = basis_state(0, 1, 0, dims)
-        np.testing.assert_allclose(n1 @ psi, psi, atol=1e-15)
-
-    def test_dimension_mismatch_rejected(self):
-        dims = TruncationDims(2, 3, 4)
-        with pytest.raises(ValueError):
-            embed_mode(np.eye(3), 0, dims)
+        """n1 embedded in dims (2,3,2) gives eigenvalue n1 on every |n0, n1, n2>."""
+        dims = TruncationDims(2, 3, 2)
+        a = build_annihilation(3)
+        n1 = _embedded(a.conj().T @ a, 1, dims).toarray()
+        for n in np.ndindex(2, 3, 2):
+            psi = np.zeros(dims.total)
+            psi[flat_index(*n, dims)] = 1.0
+            np.testing.assert_allclose(n1 @ psi, n[1] * psi, rtol=0, atol=1e-15)
 
     def test_operators_on_different_modes_commute(self):
         """[embed(a1), embed(a2+)] = 0 on dims (2,3,3), by direct product."""
         dims = TruncationDims(2, 3, 3)
-        a1 = embed_mode(build_annihilation(3), 1, dims)
-        a2_dag = embed_mode(build_annihilation(3).conj().T, 2, dims)
+        a1 = _embedded(build_annihilation(3), 1, dims).toarray()
+        a2_dag = _embedded(build_annihilation(3).conj().T, 2, dims).toarray()
         comm = a1 @ a2_dag - a2_dag @ a1
         np.testing.assert_allclose(comm, 0, atol=1e-15)
 
     def test_basis_ordering_mode0_slowest(self):
         dims = TruncationDims(2, 3, 4)
-        assert basis_index(1, 2, 3, dims) == (1 * 3 + 2) * 4 + 3
+        assert flat_index(1, 2, 3, dims) == (1 * 3 + 2) * 4 + 3
         n0, n1, n2 = occupation_arrays(dims)
-        idx = basis_index(1, 0, 2, dims)
+        idx = flat_index(1, 0, 2, dims)
         assert (n0[idx], n1[idx], n2[idx]) == (1, 0, 2)
 
 
@@ -121,12 +124,23 @@ class TestHamiltonian:
         np.testing.assert_allclose(h, expected, atol=1e-15)
 
     def test_single_pair_creation_matrix_element(self):
-        """<0,1,1| H |1,0,0> equals kappa' = kappa e^{-i phi}."""
-        dims = TruncationDims(2, 2, 2)
+        """<n0-1, n1+1, n2+1| H |n0, n1, n2> = kappa' sqrt(n0 (n1+1) (n2+1))
+        for every coupled pair on (3,4,3), and H has no other off-diagonal
+        entry."""
+        dims = TruncationDims(3, 4, 3)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.37, phi=1.1)
         h = build_hamiltonian(params, dims)
-        element = h[basis_index(0, 1, 1, dims), basis_index(1, 0, 0, dims)]
-        assert element == pytest.approx(params.kappa_prime, abs=1e-15)
+        coupled = np.zeros_like(h)
+        for n0, n1, n2 in np.ndindex(3, 3, 2):
+            if n0 == 0:
+                continue
+            pair = (flat_index(n0 - 1, n1 + 1, n2 + 1, dims),
+                    flat_index(n0, n1, n2, dims))
+            want = params.kappa_prime * math.sqrt(n0 * (n1 + 1) * (n2 + 1))
+            assert h[pair] == pytest.approx(want, rel=1e-14, abs=0)
+            coupled[pair] = h[pair]
+        np.testing.assert_array_equal(h - np.diag(np.diag(h)),
+                                      coupled + coupled.conj().T)
 
     def test_hermitian_for_random_parameters(self):
         """max|H - H^+| stays below 1e-14, conjugate-transpose oracle."""
@@ -166,6 +180,28 @@ class TestHamiltonian:
         for q in charges:
             residual = (h @ q - q @ h) @ psi
             assert np.linalg.norm(residual) < 1e-10
+
+    def test_commutes_with_manley_rowe_charges(self):
+        """max|[H, N0+N1]| and max|[H, N0+N2]| <= 1e-12 on the whole
+        truncated space, at random parameters.
+
+        Oracle: N_j = a_j+ a_j from build_annihilation, embedded here by
+        np.kron; the charges are checked on the operator itself, with no
+        help from the charge-sector route.
+        """
+        dims = TruncationDims(3, 4, 3)
+        sizes = (dims.d0, dims.d1, dims.d2)
+        numbers = []
+        for mode, d in enumerate(sizes):
+            a = build_annihilation(d)
+            factors = [a.conj().T @ a if m == mode else np.eye(sizes[m])
+                       for m in range(3)]
+            numbers.append(np.kron(factors[0], np.kron(factors[1], factors[2])))
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            h = build_hamiltonian(random_params(rng), dims)
+            for q in (numbers[0] + numbers[1], numbers[0] + numbers[2]):
+                assert np.max(np.abs(h @ q - q @ h)) <= 1e-12
 
     def test_sparse_matches_dense(self):
         dims = TruncationDims(3, 4, 3)
@@ -278,7 +314,7 @@ class TestProductStates:
         c1 = coherent_state(a1, dims.d1)
         c2 = coherent_state(a2, dims.d2)
         for n0, n1, n2 in [(0, 0, 0), (2, 1, 3), (5, 6, 7), (1, 0, 4)]:
-            assert psi[basis_index(n0, n1, n2, dims)] == pytest.approx(
+            assert psi[flat_index(n0, n1, n2, dims)] == pytest.approx(
                 c0[n0] * c1[n1] * c2[n2], abs=1e-15)
 
     def test_mode_occupancies_match_labels(self):
@@ -313,9 +349,10 @@ class TestParameterValidation:
         """Dims alone are not capped; building one entry per basis state is,
         before anything is allocated."""
         dims = TruncationDims(100, 100, 100)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3)
         for build in (lambda: product_coherent_state(0.5, 0.3, 0.0, dims),
                       lambda: occupation_arrays(dims),
-                      lambda: basis_state(0, 0, 0, dims)):
+                      lambda: build_hamiltonian_sparse(params, dims)):
             tracemalloc.start()
             try:
                 with pytest.raises(ResourceLimitError, match="exceeds cap"):
@@ -324,10 +361,3 @@ class TestParameterValidation:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20  # a dense state would take 16 MB
-
-    def test_swapped_exchanges_signal_idler(self):
-        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3)
-        swapped = params.swapped()
-        assert (swapped.omega1, swapped.omega2) == (0.8, 1.2)
-        dims = TruncationDims(4, 5, 6)
-        assert (dims.swapped().d1, dims.swapped().d2) == (6, 5)

@@ -21,7 +21,7 @@ from opasim.meanfield import (
     DIVERGENCE_LIMIT,
     MeanFieldState,
     Trajectory,
-    derivatives,
+    _rhs,
     integrate_rk4,
     manley_rowe,
     num_steps,
@@ -40,19 +40,19 @@ def bounded_complex(limit):
 
 
 class TestDerivatives:
+    """The right-hand side ``_rhs`` with its folded constant factors."""
+
     def test_free_rotation(self):
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0)
-        d = derivatives(MeanFieldState(1.0, 1.0, 1.0), params)
-        assert d.alpha0 == -2.0j
-        assert d.alpha1 == -1.2j
-        assert d.alpha2 == -0.8j
+        assert _rhs(1 + 0j, 1 + 0j, 1 + 0j, rhs_coefficients(params)) == (
+            -2.0j, -1.2j, -0.8j)
 
     def test_pump_alone_never_feeds_daughters(self):
         """With alpha1 = alpha2 = 0 both daughter derivatives vanish."""
-        d = derivatives(MeanFieldState(2.5 - 1.0j, 0.0, 0.0), PARAMS)
-        assert d.alpha0 == -1j * PARAMS.omega0 * (2.5 - 1.0j)
-        assert d.alpha1 == 0.0
-        assert d.alpha2 == 0.0
+        d0, d1, d2 = _rhs(2.5 - 1.0j, 0j, 0j, rhs_coefficients(PARAMS))
+        assert d0 == -1j * PARAMS.omega0 * (2.5 - 1.0j)
+        assert d1 == 0.0
+        assert d2 == 0.0
 
     def test_intensity_sum_identities_at_random_states(self):
         """d/dt of each Manley-Rowe combination vanishes algebraically.
@@ -62,13 +62,9 @@ class TestDerivatives:
         """
         rng = np.random.default_rng(23)
         for _ in range(100):
-            s = MeanFieldState(complex(rng.normal(), rng.normal()),
-                               complex(rng.normal(), rng.normal()),
-                               complex(rng.normal(), rng.normal()))
-            d = derivatives(s, PARAMS)
-            rates = [2 * (s.alpha0.conjugate() * d.alpha0).real,
-                     2 * (s.alpha1.conjugate() * d.alpha1).real,
-                     2 * (s.alpha2.conjugate() * d.alpha2).real]
+            s = [complex(rng.normal(), rng.normal()) for _ in range(3)]
+            d = _rhs(*s, rhs_coefficients(PARAMS))
+            rates = [2 * (a.conjugate() * da).real for a, da in zip(s, d)]
             scale = max(1.0, max(abs(x) for x in rates))
             assert abs(rates[0] + rates[1]) < 1e-14 * scale
             assert abs(rates[0] + rates[2]) < 1e-14 * scale
@@ -358,4 +354,4 @@ class TestBitIdentity:
         want = (-1j * PARAMS.omega0 * s.alpha0 - 1j * kp.conjugate() * s.alpha1 * s.alpha2,
                 -1j * PARAMS.omega1 * s.alpha1 - 1j * kp * s.alpha0 * s.alpha2.conjugate(),
                 -1j * PARAMS.omega2 * s.alpha2 - 1j * kp * s.alpha0 * s.alpha1.conjugate())
-        assert derivatives(s, PARAMS).as_tuple() == want
+        assert _rhs(*s.as_tuple(), rhs_coefficients(PARAMS)) == want

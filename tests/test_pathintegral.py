@@ -26,7 +26,6 @@ from opasim.pathintegral import (
     lagrangian_difference,
     path_from_trajectory,
     product_propagator,
-    slice_kernel,
     stationary_propagator,
 )
 from opasim.quantum import propagator_exact
@@ -66,16 +65,21 @@ def alternating_path(n, eta=1e-3):
     return SlicedPath(n * eta, signs[:, None] * a)
 
 
+def kernel(prev, nxt, eta, params):
+    """The one kernel <nxt| (1 - i eta H) |prev> of a two-row label array."""
+    return _slice_kernels(np.array([prev, nxt], dtype=complex), eta, params)[0]
+
+
 class TestSliceKernel:
     def test_vacuum_labels_give_unity(self):
         zero = (0j, 0j, 0j)
-        assert slice_kernel(zero, zero, 1e-3, PARAMS) == 1.0
+        assert kernel(zero, zero, 1e-3, PARAMS) == 1.0
 
     def test_free_identical_labels(self):
         """K = 1 - i eta w |alpha|^2 when bra = ket and kappa = 0."""
         alpha = 0.7 - 0.4j
         eta = 2e-3
-        value = slice_kernel((alpha, 0j, 0j), (alpha, 0j, 0j), eta, FREE)
+        value = kernel((alpha, 0j, 0j), (alpha, 0j, 0j), eta, FREE)
         expected = 1.0 - 1j * eta * FREE.omega0 * abs(alpha) ** 2
         assert value == pytest.approx(expected, abs=1e-15)
 
@@ -91,28 +95,30 @@ class TestSliceKernel:
         diffs = {}
         for eta in (1e-3, 1e-4):
             exact = propagator_exact(PARAMS, dims, prev, nxt, eta)
-            diffs[eta] = abs(exact - slice_kernel(prev, nxt, eta, PARAMS))
+            diffs[eta] = abs(exact - kernel(prev, nxt, eta, PARAMS))
         ratio = diffs[1e-3] / diffs[1e-4]
         assert 60.0 < ratio < 170.0
         assert diffs[1e-3] < 1e-4
 
     def test_coarse_step_warns(self):
+        """eta * omega0 = 0.4 on a one-slice path."""
+        coarse = SlicedPath(0.2, np.full((2, 3), 0.1, dtype=complex))
         with pytest.warns(CoarseStepWarning):
-            slice_kernel((0.1, 0, 0), (0.1, 0, 0), 0.2, PARAMS)
+            product_propagator(coarse, PARAMS)
 
     def test_coarse_step_warning_names_the_caller(self):
         """Both entry points warn at the line that called them."""
         coarse = SlicedPath(0.4, np.full((3, 3), 0.1, dtype=complex))
         with pytest.warns(CoarseStepWarning) as record:
-            slice_kernel((0.1, 0, 0), (0.1, 0, 0), 0.2, PARAMS)
             product_propagator(coarse, PARAMS)
+            stationary_propagator((0.1, 0, 0), (0.1, 0, 0), 0.4, PARAMS, 2)
         assert [w.filename for w in record] == [__file__, __file__]
 
     def test_limit_recovers_pure_overlap(self):
         """As eta -> 0 the kernel tends to the bare coherent overlap."""
         prev = (0.4, 0.2j, -0.1)
         nxt = (0.3, 0.1j, 0.1)
-        overlap = slice_kernel(prev, nxt, 1e-9, PARAMS)
+        overlap = kernel(prev, nxt, 1e-9, PARAMS)
         explicit = np.exp(sum(
             -0.5 * abs(b) ** 2 - 0.5 * abs(k) ** 2 + np.conj(b) * k
             for b, k in zip(nxt, prev)))
@@ -130,9 +136,7 @@ class TestProductPropagator:
     def test_single_slice_equals_kernel(self):
         rng = np.random.default_rng(3)
         path = random_path(rng, 1, t=0.01)
-        kernel = slice_kernel(tuple(path.labels[0]), tuple(path.labels[1]),
-                              0.01, PARAMS)
-        assert product_propagator(path, PARAMS) == kernel
+        assert product_propagator(path, PARAMS) == kernel(*path.labels, 0.01, PARAMS)
 
     def test_matches_per_slice_loop_bit_for_bit(self):
         """Random, RK4 and pinned free paths: the same value and sign bits

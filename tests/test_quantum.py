@@ -19,22 +19,19 @@ from opasim.errors import DivergenceError, ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
     ModeParams,
     TruncationDims,
-    basis_state,
     build_hamiltonian,
     build_hamiltonian_sparse,
+    coherent_amplitudes,
+    coherent_state,
     occupation_arrays,
     product_coherent_state,
 )
 from opasim.quantum import (
     ChainState,
-    chain_rule_compose,
     evolve_state,
-    expectation_number,
     fluorescence_from_vacuum,
     propagator_exact,
-    single_mode_propagator,
     system_hamiltonian,
-    top_level_population,
 )
 
 
@@ -42,6 +39,55 @@ def free_overlap(alpha_a, alpha_b, omega, t):
     """Untruncated <alpha_b| e^{-i omega n t} |alpha_a>, used as an oracle."""
     return np.exp(-0.5 * abs(alpha_b) ** 2 - 0.5 * abs(alpha_a) ** 2
                   + np.conj(alpha_b) * alpha_a * np.exp(-1j * omega * t))
+
+
+def number_state(n0, n1, n2, dims):
+    """The unit vector |n0, n1, n2> in the mode-0-slowest basis."""
+    psi = np.zeros(dims.total, dtype=complex)
+    psi[np.ravel_multi_index((n0, n1, n2), (dims.d0, dims.d1, dims.d2))] = 1.0
+    return psi
+
+
+def number_expectations(psi, dims):
+    """(<n0>, <n1>, <n2>) of a dense state."""
+    return [float(occ @ np.abs(psi) ** 2) for occ in occupation_arrays(dims)]
+
+
+def top_level_population(psi, dims):
+    """Probability weight on states with any mode at its top Fock level."""
+    n0, n1, n2 = occupation_arrays(dims)
+    top = (n0 == dims.d0 - 1) | (n1 == dims.d1 - 1) | (n2 == dims.d2 - 1)
+    return float(np.sum(np.abs(psi[top]) ** 2))
+
+
+def single_mode_propagator(omega, alpha_a, alpha_b, t, d):
+    """<alpha_b| e^{-i omega n t} |alpha_a> on a truncated single-mode ladder."""
+    phases = np.exp(-1j * omega * np.arange(d) * t)
+    return complex(np.vdot(coherent_state(alpha_b, d),
+                           phases * coherent_state(alpha_a, d)))
+
+
+def chain_rule_compose(omega, alpha_a, alpha_b, t, d, points=41, radius=4.0):
+    """Single-mode propagator rebuilt by resolving the identity at t/2.
+
+    Approximates
+
+        integral d^2 beta / pi  <alpha_b|U(t/2)|beta> <beta|U(t/2)|alpha_a>
+
+    on the square Re/Im grid of ``points`` x ``points`` coherent labels of
+    half-width ``radius``.  The grid states enter raw (unnormalized): the
+    identity resolution holds for the truncated Gaussian amplitudes as they
+    are, and renormalizing them would re-weight the poorly-truncated
+    corners of the grid.
+    """
+    xs = np.linspace(-radius, radius, points)
+    step = xs[1] - xs[0]
+    betas = (xs[:, None] + 1j * xs[None, :]).ravel()
+    grid = np.array([coherent_amplitudes(beta, d) for beta in betas])
+    half_phases = np.exp(-1j * omega * np.arange(d) * t / 2.0)
+    right = grid.conj() @ (half_phases * coherent_state(alpha_a, d))  # <beta|U|alpha_a>
+    left = (grid * half_phases) @ coherent_state(alpha_b, d).conj()   # <alpha_b|U|beta>
+    return complex(np.sum(left * right) * step * step / np.pi)
 
 
 class TestEvolveState:
@@ -83,8 +129,8 @@ class TestEvolveState:
         """
         dims = TruncationDims(6, 9, 7)
         params = ModeParams(2.0, 1.3, 0.7, kappa_mag=0.15, pump_alpha0=1.5)
-        sdims = dims.swapped()
-        sparams = params.swapped()
+        sdims = TruncationDims(6, 7, 9)
+        sparams = ModeParams(2.0, 0.7, 1.3, kappa_mag=0.15, pump_alpha0=1.5)
         with pytest.warns(TruncationWarning):  # the pump ladder is cut at d0 = 6
             psi0 = product_coherent_state(1.5, 0.4, 0.1j, dims)
             swapped_psi0 = product_coherent_state(1.5, 0.1j, 0.4, sdims)
@@ -146,7 +192,7 @@ class TestEvolveState:
         for h in (asymmetric, not_a_number):
             for form in (h, csr_matrix(h)):
                 with pytest.raises(ValueError, match="Hermitian"):
-                    evolve_state(form, basis_state(0, 0, 0, dims), 1.0, 2,
+                    evolve_state(form, number_state(0, 0, 0, dims), 1.0, 2,
                                  dims=dims)
 
     @pytest.mark.parametrize("form", ["sector", "dense"])
@@ -159,7 +205,7 @@ class TestEvolveState:
         h = (system_hamiltonian(params, dims) if form == "sector"
              else build_hamiltonian(params, dims))
         with pytest.raises(ValueError, match="finite"):
-            evolve_state(h, basis_state(1, 0, 0, dims), t_final, 3, dims=dims)
+            evolve_state(h, number_state(1, 0, 0, dims), t_final, 3, dims=dims)
 
     @pytest.mark.parametrize("form", ["sector", "dense"])
     def test_nan_state_trips_unitarity_guard(self, form):
@@ -167,7 +213,7 @@ class TestEvolveState:
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2)
         h = (system_hamiltonian(params, dims) if form == "sector"
              else build_hamiltonian(params, dims))
-        psi0 = basis_state(1, 0, 0, dims)
+        psi0 = number_state(1, 0, 0, dims)
         psi0[0] = np.nan
         with pytest.raises(DivergenceError, match="unitarity"):
             evolve_state(h, psi0, 1.0, 3, dims=dims)
@@ -184,8 +230,8 @@ class TestEvolveState:
         dims = TruncationDims(4, 5, 3)
         h = system_hamiltonian(ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1), dims)
         with pytest.raises(ValueError, match="do not match"):
-            evolve_state(h, basis_state(1, 2, 0, dims), 1.0, 2,
-                         dims=dims.swapped())
+            evolve_state(h, number_state(1, 2, 0, dims), 1.0, 2,
+                         dims=TruncationDims(4, 3, 5))
 
     def test_dimension_mismatch_rejected(self):
         dims = TruncationDims(2, 2, 2)
@@ -381,6 +427,18 @@ class TestChainState:
         with pytest.raises(ValueError, match="outside"):
             ChainState(1.0, TruncationDims(4, 3, 3), 3, 0)
 
+    @pytest.mark.parametrize("alpha0,n1,n2,message", [
+        (1.0, 0.5, 0, "integers"), (1.0, 1.0, 0, "integers"),
+        (1.0, 0, -0.0, "integers"), (1.0, 0, np.float64(1.0), "integers"),
+        (np.nan, 0, 0, "finite"), (complex(1.0, np.inf), 0, 0, "finite"),
+    ])
+    def test_non_integer_levels_and_non_finite_pump_rejected(self, alpha0, n1,
+                                                             n2, message):
+        """Rejected when made, not later as an IndexError in the chain
+        gather or a DivergenceError after the evolution."""
+        with pytest.raises(ValueError, match=message):
+            ChainState(alpha0, TruncationDims(4, 3, 3), n1, n2)
+
     def test_needs_the_sector_form_of_its_dims(self):
         dims = TruncationDims(4, 5, 3)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1)
@@ -441,26 +499,22 @@ class TestChainState:
 
 
 class TestExpectationNumber:
+    """<n_m> of a dense state as the occupations against |psi|^2."""
+
     def test_vacuum(self):
         dims = TruncationDims(3, 3, 3)
-        assert expectation_number(basis_state(0, 0, 0, dims), 1, dims) == 0.0
+        assert number_expectations(number_state(0, 0, 0, dims), dims) == [0.0] * 3
 
     def test_coherent_label_squared(self):
         """Mode-1 coherent state with alpha = 1.5 at d1 = 40 gives 2.25."""
         dims = TruncationDims(2, 40, 2)
         psi = product_coherent_state(0.0, 1.5, 0.0, dims)
-        assert expectation_number(psi, 1, dims) == pytest.approx(2.25, abs=1e-6)
+        assert number_expectations(psi, dims)[1] == pytest.approx(2.25, abs=1e-6)
 
     def test_basis_state_occupations(self):
         dims = TruncationDims(4, 5, 3)
-        psi = basis_state(2, 3, 1, dims)
-        values = [expectation_number(psi, m, dims) for m in range(3)]
-        assert values == [2.0, 3.0, 1.0]
-
-    def test_dims_mismatch_rejected(self):
-        dims = TruncationDims(2, 2, 2)
-        with pytest.raises(ValueError):
-            expectation_number(np.zeros(5, dtype=complex), 0, dims)
+        psi = number_state(2, 3, 1, dims)
+        assert number_expectations(psi, dims) == [2.0, 3.0, 1.0]
 
 
 class TestPropagatorExact:
