@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ResourceLimitError, TruncationWarning
+from .errors import DivergenceError, ResourceLimitError, TruncationWarning
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -59,13 +59,12 @@ SWEEP_POINT_CAP = 10_000
 
 #: Bound on samples * state entries of one exact evolution.  A dense
 #: initial state counts d0*d1*d2 entries per sample; a chain-supported one
-#: counts the entries of its chains plus the top-level states, whose
-#: per-sample populations (8 bytes each) the leakage sums.  A CLI run
-#: reduces its observables chain by chain, in chunks of samples, and never
+#: counts the entries of its chains.  A CLI run reduces its observables,
+#: the leakage among them, chain by chain, in chunks of samples, and never
 #: builds the state array (16 bytes per entry): measured at the cap, a
-#: dense run peaks about 2 bytes per entry above the import at d = 64, 4
-#: at d = 10 and 9.5 at d = 3, most of it the top-level populations, which
-#: are nearly all states at d = 3.
+#: dense run peaks about 0.8 bytes per entry above the import at d = 64,
+#: 0.6 at d = 10 and 3.5 at d = 3, most of it there the per-sample
+#: observables, about 95 bytes a sample.
 STATE_SAMPLE_CAP = 20_000_000
 
 #: Largest total dimension for which dense operator matrices are built.
@@ -263,12 +262,18 @@ def coherent_state(alpha: complex, d: int) -> np.ndarray:
     ``NORM_DEFICIT_WARN``: past that threshold the truncated ladder no
     longer represents the intended state faithfully.  The deficit measures
     the Poisson tail beyond the top level, which a ladder of about
-    |alpha|^2 + c |alpha| levels already keeps small.
+    |alpha|^2 + c |alpha| levels already keeps small.  Raises
+    :class:`DivergenceError` when every amplitude underflows to zero, as
+    it does far below the ladder's reach (|alpha| = 40 at d = 4).
     """
     if d < 2:
         raise ValueError(f"ladder dimension must be >= 2, got {d!r}")
     c = coherent_amplitudes(alpha, d)
     norm = np.linalg.norm(c)
+    if norm == 0:
+        raise DivergenceError(
+            f"coherent state of |alpha| = {abs(alpha):.6g} has no weight on a "
+            f"{d}-level ladder")
     deficit = 1.0 - norm
     if deficit > NORM_DEFICIT_WARN:
         warnings.warn(

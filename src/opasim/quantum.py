@@ -197,11 +197,11 @@ class ChainState:
     single entry (n0, n1, n2), where its amplitude is the pump's coherent
     amplitude c(n0).  That is about d0 of the (d0+d1-1)(d0+d2-1) chains,
     so :func:`evolve_state` evolves it without a dense d0*d1*d2 vector:
-    its cost and its cap (``STATE_SAMPLE_CAP``, on :attr:`entries` per
-    sample) follow the occupied chains, not d0*d1*d2.  ``shape`` is the
-    dense state's, for the checks the two forms share.  A non-finite
-    ``alpha0``, or levels that are not integers on the ladders, raise
-    :class:`ValueError`.
+    its cost, its memory and its cap (``STATE_SAMPLE_CAP``, on
+    :attr:`entries` per sample, about d0*min(d1, d2)) follow the occupied
+    chains, not d0*d1*d2.  ``shape`` is the dense state's, for the checks
+    the two forms share.  A non-finite ``alpha0``, or levels that are not
+    integers on the ladders, raise :class:`ValueError`.
     """
 
     alpha0: complex
@@ -225,8 +225,7 @@ class ChainState:
 
     @property
     def entries(self) -> int:
-        """State entries one sample holds: those of the d0 chains, plus the
-        top-level states, one population each for the leakage."""
+        """State entries one sample holds: those of its d0 chains."""
         d, s = self.dims, min(self.n1, self.n2)
         r = min(d.d1 - 1 - self.n1, d.d2 - 1 - self.n2)
 
@@ -236,9 +235,8 @@ class ChainState:
             return d.d0 * (d.d0 - 1) // 2 - q * d.d0
 
         # chain n0 runs over pump levels max(0, n0 - r) .. min(d0 - 1, n0 + s)
-        chained = (d.d0 * (d.d0 + 1) // 2 + d.d0 * s
-                   - excess(d.d0 - 1 - s) - excess(r))
-        return chained + _top_level_count(d)
+        return (d.d0 * (d.d0 + 1) // 2 + d.d0 * s
+                - excess(d.d0 - 1 - s) - excess(r))
 
     @cached_property
     def pump_amplitudes(self) -> np.ndarray:
@@ -394,62 +392,38 @@ def _assemble_states(h: SectorHamiltonian, psi0, step: float,
     return states
 
 
-def _top_level_count(dims: TruncationDims) -> int:
-    """Number of basis states with any mode at its top Fock level."""
-    return dims.total - (dims.d0 - 1) * (dims.d1 - 1) * (dims.d2 - 1)
-
-
-def _top_level_columns(occupations: np.ndarray, dims: TruncationDims) -> np.ndarray:
-    """Positions of top-level states, given by their (3, k) occupations,
-    among all top-level states in basis order.
-
-    Below the top pump level each n0 holds d1 - 1 + d2 of them (n2 at
-    its top for n1 < d1 - 1, then the whole n1 = d1 - 1 row); the top
-    pump level holds all d1 d2.
-    """
-    n0, n1, n2 = occupations
-    d0, d1, d2 = dims.d0, dims.d1, dims.d2
-    per_level = d1 - 1 + d2
-    below = n0 * per_level + np.where(n1 < d1 - 1, n1, d1 - 1 + n2)
-    return np.where(n0 < d0 - 1, below, (d0 - 1) * per_level + n1 * d2 + n2)
-
-
 def _reduce_chains(h: SectorHamiltonian, psi0, step: float,
-                   n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+                   n_samples: int) -> np.ndarray:
     """Per-sample sums over the evolved chains, without the state array.
 
-    Returns ``moments`` (5, n_samples), the squared norm, the sums of
-    n0, n1, n2 and of H over the populations, and ``top`` (n_samples, B),
-    the populations of the B basis states with a mode on its top Fock
-    level, in basis order.  <H> is taken in the real gauge frame: the
-    diagonal against the populations plus 2|kappa'| coupling
-    Re(conj(phi_{j-1}) phi_j) per link, phi the gauge-frame amplitudes, so
-    it checks the states rather than repeating the eigenvalues.  ``top``
-    holds |psi|^2 of exactly the amplitudes :func:`_assemble_states`
-    scatters, so its row sums are the top-level populations bit for bit;
-    the gauge phase is put back at those entries only.
+    Returns (6, n_samples): the squared norm, the sums of n0, n1, n2 and
+    of H over the populations, and the leakage, the population of the
+    basis states with a mode on its top Fock level.  <H> is taken in the
+    real gauge frame: the diagonal against the populations plus
+    2|kappa'| coupling Re(conj(phi_{j-1}) phi_j) per link, phi the
+    gauge-frame amplitudes, so it checks the states rather than repeating
+    the eigenvalues.  The leakage is its own product, not a sixth row of
+    the first five's: OpenBLAS rounds a product by its shape.
     """
     d = h.dims
     magnitude = abs(h.params.kappa_prime)
-    moments = np.zeros((5, n_samples))
-    top = np.zeros((n_samples, _top_level_count(d)))
-    for (index, occupations, diagonal, coupling, samples, frame,
-         gauge) in _evolved_chains(h, psi0, step, n_samples):
+    sums = np.zeros((6, n_samples))
+    for (_, occupations, diagonal, coupling, samples, frame,
+         _) in _evolved_chains(h, psi0, step, n_samples):
         n = frame.shape[2] // 2
         weights = np.concatenate([np.ones_like(diagonal)[None], occupations,
                                   diagonal[None]]).reshape(5, -1)
-        sums = weights @ (frame * frame).reshape(weights.shape[1], 2 * n)
-        moments[:, samples] += sums.reshape(5, n, 2).sum(axis=2)
+        on_top = ((occupations[0] == d.d0 - 1) | (occupations[1] == d.d1 - 1)
+                  | (occupations[2] == d.d2 - 1)).reshape(-1).astype(float)
+        squares = (frame * frame).reshape(weights.shape[1], 2 * n)
+        sums[:5, samples] += (weights @ squares).reshape(5, n, 2).sum(axis=2)
+        sums[5, samples] += (on_top @ squares).reshape(n, 2).sum(axis=1)
+        del squares
         links = (frame[:, :-1] * frame[:, 1:]).reshape(coupling.size, 2 * n)
         cross = (coupling.reshape(-1) @ links).reshape(n, 2).sum(axis=1)
-        moments[4, samples] += 2.0 * magnitude * cross
-        on_top = ((occupations[0] == d.d0 - 1) | (occupations[1] == d.d1 - 1)
-                  | (occupations[2] == d.d2 - 1))
-        columns = _top_level_columns(occupations[:, on_top], d)
-        phase = gauge[np.nonzero(on_top)[1], None]
-        top[samples, columns] = (np.abs(frame.view(complex)[on_top] * phase) ** 2).T
-        del frame  # before the next chunk is evolved
-    return moments, top
+        sums[4, samples] += 2.0 * magnitude * cross
+        del frame, links  # before the next chunk is evolved
+    return sums
 
 
 def system_hamiltonian(params: ModeParams, dims: TruncationDims) -> SectorHamiltonian:
@@ -470,9 +444,10 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
     truncation-boundary leakage is monitored (population of any top
     Fock level above ``LEAKAGE_TOL`` attaches a warning to the result).
     For the charge-sector form ``dims`` must be the Hamiltonian's own, the
-    observables are reduced chain by chain, and the result's ``states``
-    are assembled from the chains only if they are read.  The other forms
-    compute the states first and take the observables from them.  Raises
+    observables, the leakage among them, are reduced chain by chain, and
+    the result's ``states`` are assembled from the chains only if they
+    are read.  The other forms compute the states first and take the
+    observables from them.  Raises
     :class:`ValueError` for a negative or non-finite ``t_final`` and
     :class:`ResourceLimitError` before allocating if the samples would
     hold more than ``STATE_SAMPLE_CAP`` state entries: d0*d1*d2 per sample
@@ -507,9 +482,9 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
         if dims != h.dims:
             raise ValueError(f"dims {dims} do not match the Hamiltonian's {h.dims}")
         step = times[1] if n_samples > 1 else 0.0
-        moments, top = _reduce_chains(h, psi0, step, n_samples)
-        norm_sq, occupations, energies = moments[0], moments[1:4].T, moments[4]
-        leakage = np.sum(top, axis=1)
+        sums = _reduce_chains(h, psi0, step, n_samples)
+        norm_sq, occupations, energies, leakage = (
+            sums[0], sums[1:4].T, sums[4], sums[5])
 
         def assemble():
             return _assemble_states(h, psi0, step, n_samples)

@@ -427,6 +427,24 @@ class TestMainExitCodes:
         assert "numeric error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("scenario,amplitude", [
+        ("quantum", "alpha0_re = 40\nalpha1_re = 0.0\nd0 = 4\nd1 = 3\nd2 = 3\n"),
+        ("fluorescence", "alpha0_re = 1e10\nd0 = 4\nd1 = 3\nd2 = 3\n"),
+    ], ids=["quantum-chain-pump", "fluorescence-pump"])
+    def test_coherent_state_without_weight_exits_3(self, tmp_path, capsys,
+                                                   scenario, amplitude):
+        """A pump so far past its ladder that every amplitude underflows is
+        a numeric error naming the ladder, not a NaN norm."""
+        text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
+                                         f"scenario = {scenario}")
+        text = text.replace("alpha0_re = 2.0\nalpha1_re = 0.3\n", amplitude)
+        cfg = _write(tmp_path, "run.cfg", text)
+        assert main([str(cfg), "--output-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: coherent state of |alpha| = " in err
+        assert "has no weight on a 4-level ladder" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_resource_cap_exits_4(self, tmp_path, capsys):
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield", "scenario = quantum")
         cfg = _write(tmp_path, "big.cfg", text + "d0 = 100\nd1 = 100\nd2 = 100\n")
@@ -454,7 +472,7 @@ class TestMainExitCodes:
     def test_chain_supported_cap_exits_4_before_allocating(self, tmp_path, capsys,
                                                            extra):
         """A fluorescence run is capped on its chains' entries times samples
-        (about 4.7e4 entries at (621,25,25), so 10^4 samples are too many),
+        (15225 entries at (621,25,25), so 10^4 samples are too many),
         before the pump amplitudes or any chain are built."""
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
                                          "scenario = fluorescence")

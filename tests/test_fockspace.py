@@ -8,12 +8,13 @@ summation for coherent overlaps, conjugate transposition for Hermiticity.
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from opasim.errors import ResourceLimitError, TruncationWarning
+from opasim.errors import DivergenceError, ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
     ModeParams,
     TruncationDims,
@@ -279,6 +280,18 @@ class TestCoherentStates:
         raw = coherent_amplitudes(alpha, d)
         assert raw[0] > 0
         assert raw.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha,d", [(40.0, 4), (1e10, 4), (-40.0j, 3)],
+                             ids=["alpha-40", "alpha-1e10", "imaginary-alpha-40"])
+    def test_ladder_without_weight_raises(self, alpha, d):
+        """Every amplitude underflows to zero, so there is no state to
+        normalise: a DivergenceError, with no truncation warning first and
+        no NaN state."""
+        assert not coherent_amplitudes(alpha, d).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"no weight on a {d}-level"):
+                coherent_state(alpha, d)
 
     @pytest.mark.parametrize("alpha", [40.0, 40.0 * cmath.exp(0.7j)])
     def test_large_label_does_not_underflow(self, alpha):
