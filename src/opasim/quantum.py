@@ -4,17 +4,18 @@ The three-mode Hamiltonian commutes with the quantum Manley-Rowe charges
 n0+n1 and n0+n2, so it is a direct sum of chains of fixed charges, each
 ordered by n0.  The gauge conj(kappa'/|kappa'|)^k makes every chain a real
 symmetric tridiagonal block.  :func:`system_hamiltonian` returns that
-charge-sector form, and :func:`evolve_state` propagates it exactly by
-diagonalising the chains of each length in one batched ``eigh``.  A
-:class:`ChainState`, a coherent pump times signal and idler number
-states, names its about d0 occupied chains and their start amplitudes
-directly, so that no d0*d1*d2 vector is built.  The
-norm, occupations, energy and top-level leakage of every sample are reduced
-inside that chain loop, so the (samples, dim) state array is assembled
-only when a caller reads ``EvolutionResult.states``.  Any other Hermitian
-H, dense or scipy sparse, is propagated through a full eigendecomposition
-or, for larger or sparse inputs, Krylov evaluation of the matrix
-exponential acting on the state.  Every route satisfies the
+charge-sector form, and :func:`evolve_state` propagates it exactly: a
+chain is its energy, a pure phase, plus a zero-diagonal coupling that one
+batched half-size SVD per chain length diagonalises (``eigh`` where a
+float detuning remains).  A :class:`ChainState`, a coherent pump times
+signal and idler number states, names its about d0 occupied chains and
+their start amplitudes directly, so that no d0*d1*d2 vector is built.
+The norm, occupations, energy and top-level leakage of every sample are
+reduced inside that chain loop, so the (samples, dim) state array is
+assembled only when a caller reads ``EvolutionResult.states``.  Any other
+Hermitian H, dense or scipy sparse, is propagated through a full
+eigendecomposition or, for larger or sparse inputs, Krylov evaluation of
+the matrix exponential acting on the state.  Every route satisfies the
 same contract: unit norm to 1e-9 and machine-accurate conservation of
 energy and of the three-wave-mixing charges n0+n1, n0+n2, n1-n2.
 """
@@ -153,17 +154,19 @@ class SectorHamiltonian:
         return (self.dims.total, self.dims.total)
 
     def chains(self, charge1: np.ndarray, charge2: np.ndarray):
-        """Yield ``(chosen, index, occupations, diagonal, coupling)`` per
+        """Yield ``(chosen, index, occupations, energy, coupling)`` per
         chain length L, over the chains of the given charges.
 
         ``charge1`` and ``charge2`` hold the charges n0+n1 and n0+n2 of the
         requested chains; those without a basis state are skipped.
         ``chosen`` holds the positions of the m requested chains of length
         L, in their requested order, ``index`` (m, L) their basis indices,
-        ``occupations`` (3, m, L) their n0, n1, n2, ``diagonal`` (m, L)
-        their diagonal entries of H, and ``coupling`` (m, L-1) the
-        magnitudes sqrt(n0 (n1+1) (n2+1)) linking position j-1 to j, taken
-        at position j.  H[j-1, j] is kappa' times that magnitude.
+        ``occupations`` (3, m, L) their n0, n1, n2, ``energy`` (m, L) their
+        energies omega1 (n0+n1) + omega2 (n0+n2) (+ the zero point), from
+        the integer charges and so constant along a chain, and ``coupling``
+        (m, L-1) the magnitudes sqrt(n0 (n1+1) (n2+1)) linking position j-1
+        to j, taken at j.  H is the energy plus (omega0 - omega1 - omega2) n0
+        on the diagonal and kappa' times the magnitude at [j-1, j].
         """
         p, d = self.params, self.dims
         lowest = np.maximum(np.maximum(0, charge1 - (d.d1 - 1)),
@@ -179,13 +182,12 @@ class SectorHamiltonian:
             n0 = lowest[chosen][:, None] + np.arange(length)
             n1 = charge1[chosen][:, None] - n0
             n2 = charge2[chosen][:, None] - n0
-            diagonal = p.omega0 * n0 + p.omega1 * n1 + p.omega2 * n2
-            diagonal = diagonal.astype(float)
+            energy = p.omega1 * (n0 + n1) + p.omega2 * (n0 + n2)
             if p.include_zero_point:
-                diagonal = diagonal + 0.5 * (p.omega0 + p.omega1 + p.omega2)
+                energy = energy + 0.5 * (p.omega0 + p.omega1 + p.omega2)
             coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
             index = (n0 * d.d1 + n1) * d.d2 + n2
-            yield chosen, index, np.stack([n0, n1, n2]), diagonal, coupling
+            yield chosen, index, np.stack([n0, n1, n2]), energy, coupling
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ class ChainState:
 
 
 def _chain_starts(h: SectorHamiltonian, psi0):
-    """Yield ``(index, occupations, diagonal, coupling, start)`` per batch
+    """Yield ``(index, occupations, energy, coupling, start)`` per batch
     of chains, for the chains on which ``psi0`` does not vanish.
 
     ``psi0`` is a dense state or a :class:`ChainState`; ``start`` (m, L)
@@ -265,25 +267,25 @@ def _chain_starts(h: SectorHamiltonian, psi0):
             chosen_levels = levels[first:first + run]
             amplitudes = psi0.pump_amplitudes[chosen_levels]
             groups = [
-                (index, occupations, diagonal, coupling,
+                (index, occupations, energy, coupling,
                  np.where(occupations[1] == psi0.n1, amplitudes[chosen, None], 0))
-                for chosen, index, occupations, diagonal, coupling in h.chains(
+                for chosen, index, occupations, energy, coupling in h.chains(
                     chosen_levels + psi0.n1, chosen_levels + psi0.n2)]
             yield from _joined(groups)
         return
     width = d.d0 + d.d2 - 1
     # every charge pair, n0+n1 major, so the chains keep their basis order
     charge1, charge2 = np.divmod(np.arange((d.d0 + d.d1 - 1) * width), width)
-    for _, index, occupations, diagonal, coupling in h.chains(charge1, charge2):
+    for _, index, occupations, energy, coupling in h.chains(charge1, charge2):
         start = psi0[index]
         occupied = np.any(start != 0, axis=1)
         if not occupied.all():
             if not occupied.any():
                 continue
-            index, occupations, diagonal, coupling, start = (
-                index[occupied], occupations[:, occupied], diagonal[occupied],
+            index, occupations, energy, coupling, start = (
+                index[occupied], occupations[:, occupied], energy[occupied],
                 coupling[occupied], start[occupied])
-        yield index, occupations, diagonal, coupling, start
+        yield index, occupations, energy, coupling, start
 
 
 def _joined(groups: list):
@@ -293,9 +295,10 @@ def _joined(groups: list):
     row of length L with no coupling at the seam, so H leaves them two
     blocks.  The rows join the group of length L, so that a vacuum-seeded
     state's d0 chains are evolved in one or two batches, not one per
-    length.  Chains left without a partner keep their group.  The
-    eigenvalues of a joined row round differently from those of its two
-    chains apart, by about one unit in the last place.
+    length.  Chains left without a partner keep their group.  A joined
+    row rounds differently from its chains apart, by about one unit in the
+    last place.  The SVD may mix the double zero mode of two odd chains
+    across the seam: harmless, as the chain energies apply per entry.
     """
     by_length = {group[0].shape[1]: group for group in groups}
     if not by_length:
@@ -320,35 +323,67 @@ def _joined(groups: list):
     yield from rest
 
 
-def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
-    """The chains of psi0 evolved to the times k step, k < n_samples.
+def _bipartite_modes(links: np.ndarray):
+    """Eigenpairs of zero-diagonal tridiagonal blocks by a half-size SVD.
 
-    Yields ``(index, occupations, diagonal, coupling, samples, frame,
-    gauge)`` for the chains of :func:`_chain_starts` (the others stay
-    zero), once per batch of chains and chunk of samples.  The chains of
-    a batch are diagonalised together, and the phases of sample k are
-    the k-th powers of one step's phases.  The sample axis is cut into
-    even chunks whose evolved block stays within ``CHAIN_BLOCK_BYTES``, or
-    holds at most six samples where that is more.  Each chunk continues
-    the running product from the last sample of the chunk before, so the
-    amplitudes do not depend on the cut.  ``samples`` is the
-    chunk's slice of the sample axis.  ``frame`` (m, L, 2 n) holds the real
-    and imaginary parts of its n evolved samples in the gauge
-    conj(kappa'/|kappa'|)^j, where every chain is a real block; the basis
-    amplitudes are ``frame.view(complex) * gauge[:, None]``.
+    ``links`` (m, L-1) holds the off-diagonals, entry j linking positions j
+    and j+1, so even positions link to odd ones only, through B
+    (ceil(L/2), floor(L/2)), B[i, i] = links[2i], B[i, i-1] = links[2i-1].
+    Each singular triple (s, u, v) of B gives the eigenpairs +-s,
+    [u; +-v]/sqrt(2) on the (even; odd) positions, and for an odd L the
+    last column of U a zero mode [u; 0] (Golub & Kahan, SIAM J. Numer.
+    Anal. B 2, 205 (1965)).  Returns eigenvalues (m, L) and eigenvectors
+    (m, L, L) by column.
     """
-    angle = -np.angle(h.params.kappa_prime)  # gauge exp(i angle j)
-    for index, occupations, diagonal, coupling, start in _chain_starts(h, psi0):
+    m, length, half = links.shape[0], links.shape[1] + 1, (links.shape[1] + 1) // 2
+    rows = np.arange(length - half)
+    bidiagonal = np.zeros((m, rows.size, half))
+    bidiagonal[:, rows[:half], rows[:half]] = links[:, 0::2]
+    bidiagonal[:, rows[1:], rows[:-1]] = links[:, 1::2]
+    u, s, vt = np.linalg.svd(bidiagonal)
+    vectors = np.zeros((m, length, length))
+    vectors[:, 0::2, :half] = vectors[:, 0::2, half:2 * half] = (
+        np.sqrt(0.5) * u[:, :, :half])
+    vectors[:, 1::2, :half] = np.sqrt(0.5) * vt.transpose(0, 2, 1)
+    vectors[:, 1::2, half:2 * half] = -vectors[:, 1::2, :half]
+    vectors[:, 0::2, 2 * half:] = u[:, :, half:]
+    return np.concatenate([s, -s, np.zeros((m, length - 2 * half))], axis=1), vectors
+
+
+def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
+    """The chains of psi0, but for their energies, evolved to k step, k < n_samples.
+
+    Yields ``(index, occupations, energy, coupling, samples, frame,
+    gauge)`` for the chains of :func:`_chain_starts` (the others stay
+    zero), once per batch of chains and chunk of samples.  Of H on a
+    chain, the energy E of :meth:`SectorHamiltonian.chains` is a constant
+    whose phase no reduced observable sees.  The rest is diagonalised per
+    batch, at resonance by :func:`_bipartite_modes`, else by ``eigh``, and
+    the phases of sample k are the k-th powers of one step's phases.  The
+    sample axis is cut into even chunks whose evolved block stays within
+    ``CHAIN_BLOCK_BYTES``, or holds at most six samples where that is
+    more.  Each chunk continues the running product from the last sample
+    of the chunk before, so the amplitudes do not depend on the cut.
+    ``samples`` is the chunk's slice of the sample axis.  ``frame``
+    (m, L, 2 n) holds the real and imaginary parts of its n evolved
+    samples in the gauge conj(kappa'/|kappa'|)^j, where every chain is a
+    real block; the basis amplitudes are
+    ``frame.view(complex) * gauge[:, None] * exp(-i E t)``.
+    """
+    p, magnitude = h.params, abs(h.params.kappa_prime)
+    detuning, angle = p.omega0 - (p.omega1 + p.omega2), -np.angle(p.kappa_prime)
+    for index, occupations, energy, coupling, start in _chain_starts(h, psi0):
         m, length = index.shape
         gauge = np.exp(1j * angle * np.arange(length))
-        offset = diagonal[:, :1]  # keeps the blocks small next to the chain energy
-        block = np.zeros((m, length, length))
-        j = np.arange(length)
-        block[:, j, j] = diagonal - offset
-        block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = (
-            abs(h.params.kappa_prime) * coupling)
-        eigvals, vectors = np.linalg.eigh(block)
-        phases = np.exp(-1j * step * (eigvals + offset))[:, :, None]
+        if detuning == 0.0:
+            eigvals, vectors = _bipartite_modes(magnitude * coupling)
+        else:  # a float mismatch that ModeParams accepts
+            block = np.zeros((m, length, length))
+            j = np.arange(length)
+            block[:, j, j] = detuning * occupations[0]
+            block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = magnitude * coupling
+            eigvals, vectors = np.linalg.eigh(block)
+        phases = np.exp(-1j * step * eigvals)[:, :, None]
         carry = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
         # even chunks of at least three samples: numpy's cumprod multiplies
         # a two-entry axis in a fused loop that rounds differently
@@ -366,7 +401,7 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
             # real eigenvectors times complex amplitudes as one real matmul
             frame = vectors @ evolved[:, :, begin - low:].view(float)
             del evolved
-            yield (index, occupations, diagonal, coupling, slice(begin, stop),
+            yield (index, occupations, energy, coupling, slice(begin, stop),
                    frame, gauge)
             del frame  # so that the caller's del frees it before the next chunk
 
@@ -375,8 +410,9 @@ def _assemble_states(h: SectorHamiltonian, psi0, step: float,
                      n_samples: int) -> np.ndarray:
     """The (n_samples, dim) states exp(-i H k step) psi0, chain by chain.
 
-    Raises :class:`ResourceLimitError` before allocating if d0*d1*d2
-    exceeds ``DEFAULT_DIM_CAP`` or the states ``STATE_SAMPLE_CAP`` entries.
+    The chain energies' phases join here.  Raises :class:`ResourceLimitError`
+    before allocating if d0*d1*d2 exceeds ``DEFAULT_DIM_CAP`` or the
+    states ``STATE_SAMPLE_CAP`` entries.
     """
     h.dims.check_dense()
     if n_samples * h.dims.total > STATE_SAMPLE_CAP:
@@ -384,9 +420,12 @@ def _assemble_states(h: SectorHamiltonian, psi0, step: float,
             f"{n_samples} assembled samples of {h.dims.total} states exceed "
             f"the cap of {STATE_SAMPLE_CAP} state entries"
         )
+    times = step * np.arange(n_samples)
     states = np.zeros((n_samples, h.dims.total), dtype=complex)
-    for index, *_, samples, frame, gauge in _evolved_chains(h, psi0, step, n_samples):
-        amplitudes = frame.view(complex) * gauge[:, None]
+    for (index, _, energy, _, samples, frame,
+         gauge) in _evolved_chains(h, psi0, step, n_samples):
+        amplitudes = (frame.view(complex) * gauge[:, None]
+                      * np.exp(-1j * energy[:, :, None] * times[samples]))
         states[samples, index.ravel()] = amplitudes.transpose(2, 0, 1).reshape(
             amplitudes.shape[2], -1)
     return states
@@ -399,20 +438,20 @@ def _reduce_chains(h: SectorHamiltonian, psi0, step: float,
     Returns (6, n_samples): the squared norm, the sums of n0, n1, n2 and
     of H over the populations, and the leakage, the population of the
     basis states with a mode on its top Fock level.  <H> is taken in the
-    real gauge frame: the diagonal against the populations plus
+    real gauge frame: H's diagonal against the populations plus
     2|kappa'| coupling Re(conj(phi_{j-1}) phi_j) per link, phi the
     gauge-frame amplitudes, so it checks the states rather than repeating
     the eigenvalues.  The leakage is its own product, not a sixth row of
     the first five's: OpenBLAS rounds a product by its shape.
     """
-    d = h.dims
-    magnitude = abs(h.params.kappa_prime)
+    p, d = h.params, h.dims
+    magnitude = abs(p.kappa_prime)
     sums = np.zeros((6, n_samples))
-    for (_, occupations, diagonal, coupling, samples, frame,
+    for (_, occupations, energy, coupling, samples, frame,
          _) in _evolved_chains(h, psi0, step, n_samples):
         n = frame.shape[2] // 2
-        weights = np.concatenate([np.ones_like(diagonal)[None], occupations,
-                                  diagonal[None]]).reshape(5, -1)
+        weights = np.concatenate([np.ones_like(energy)[None], occupations,
+                                  energy[None]]).reshape(5, -1)
         on_top = ((occupations[0] == d.d0 - 1) | (occupations[1] == d.d1 - 1)
                   | (occupations[2] == d.d2 - 1)).reshape(-1).astype(float)
         squares = (frame * frame).reshape(weights.shape[1], 2 * n)
@@ -423,6 +462,7 @@ def _reduce_chains(h: SectorHamiltonian, psi0, step: float,
         cross = (coupling.reshape(-1) @ links).reshape(n, 2).sum(axis=1)
         sums[4, samples] += 2.0 * magnitude * cross
         del frame, links  # before the next chunk is evolved
+    sums[4] += (p.omega0 - (p.omega1 + p.omega2)) * sums[1]  # the detuning's share
     return sums
 
 

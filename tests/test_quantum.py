@@ -262,7 +262,10 @@ class TestSectorRoute:
         ModeParams(2.0, 1.3, 0.7, kappa_mag=0.0, phi=PHI, pump_alpha0=1.5),
         ModeParams(2.0, 1.3, 0.7, kappa_mag=0.4, phi=-2.0, pump_alpha0=1.5,
                    include_zero_point=True),
-    ], ids=["random-phi", "uncoupled", "zero-point"])
+        ModeParams(1.3, 0.7, 0.6, kappa_mag=0.25, phi=PHI, pump_alpha0=1.5),
+        ModeParams(2.0 + 5e-13, 1.2, 0.8, kappa_mag=0.25, phi=PHI, pump_alpha0=1.5),
+    ], ids=["random-phi", "uncoupled", "zero-point", "detuned-by-rounding",
+            "detuned-5e-13"])
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
     def test_matches_oracle(self, dims, params):
         """States, energies and expectations agree to 1e-10.
@@ -270,7 +273,10 @@ class TestSectorRoute:
         The vacuum signal/idler state touches only the chains with
         n1 = n2, so the route skips all the others, whether it comes as a
         dense vector or as a :class:`ChainState`; the random state
-        occupies every chain.
+        occupies every chain.  The last two inputs are detuned within the
+        frequency-match tolerance (1.3 - (0.7 + 0.6) is 2.2e-16 in floats),
+        so their chains are diagonalised by ``eigh`` with the detuning on
+        the diagonal.
         """
         rng = np.random.default_rng(dims.total)
         generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
@@ -291,6 +297,80 @@ class TestSectorRoute:
             np.testing.assert_allclose(sector.norm_deviations,
                                        oracle.norm_deviations, atol=1e-10)
             np.testing.assert_allclose(sector.leakage, oracle.leakage, atol=1e-10)
+
+    @pytest.mark.parametrize("params, detuned", [
+        (ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3, phi=PHI), False),
+        (ModeParams(1.3, 0.7, 0.6, kappa_mag=0.3, phi=PHI), True),
+        (ModeParams(2.0 + 5e-13, 1.2, 0.8, kappa_mag=0.3, phi=PHI), True),
+    ], ids=["resonant", "detuned-by-rounding", "detuned-5e-13"])
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_eigh_only_under_detuning(self, monkeypatch, params, detuned):
+        """At omega0 == omega1 + omega2 the chains are diagonalised by the
+        half-size SVD alone, for a dense and a chain state, observables
+        and assembled states alike; a nonzero float detuning takes
+        ``eigh``."""
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        dims = TruncationDims(7, 6, 5)
+        h = system_hamiltonian(params, dims)
+        for psi0 in (product_coherent_state(1.2, 0.4j, -0.3, dims),
+                     ChainState(1.2, dims)):
+            assert evolve_state(h, psi0, 2.0, 9, dims).states.shape == (9, dims.total)
+        assert bool(calls) == detuned
+
+    @pytest.mark.parametrize("links", [
+        *(np.random.default_rng(length).uniform(0.1, 5.0, size=(4, length - 1))
+          for length in range(1, 13)),
+        np.zeros((3, 6)),
+        np.array([[1.0, 2.0, 0.0, 3.0, 0.5, 4.0, 1.5]]),
+    ], ids=[*(f"length-{length}" for length in range(1, 13)), "uncoupled",
+            "joined-odd-segments"])
+    def test_bipartite_eigenpairs(self, links):
+        """The half-size SVD gives the eigenpairs of zero-diagonal
+        tridiagonal blocks: V diag(lambda) V^T rebuilds the block and V is
+        orthogonal, also for a joined row of two odd segments (3 and 5
+        positions, no link at the seam), whose two zero modes the SVD may
+        mix."""
+        m, length = links.shape[0], links.shape[1] + 1
+        block = np.zeros((m, length, length))
+        j = np.arange(length)
+        block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = links
+        eigvals, vectors = quantum._bipartite_modes(links)
+        assert eigvals.shape == (m, length) and vectors.shape == block.shape
+        rebuilt = (vectors * eigvals[:, None, :]) @ vectors.transpose(0, 2, 1)
+        np.testing.assert_allclose(rebuilt, block, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(vectors.transpose(0, 2, 1) @ vectors,
+                                   np.broadcast_to(np.eye(length), block.shape),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_chain_energies_reach_only_the_assembled_states(self):
+        """The zero point shifts every chain energy by one constant.  The
+        norm, occupations and leakage do not see it, bit for bit; <H>
+        moves by the constant; the assembled states, which carry the
+        energy phases, match the oracle with and without it."""
+        dims = TruncationDims(6, 7, 5)
+        rng = np.random.default_rng(8)
+        generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+        generic /= np.linalg.norm(generic)
+        for psi0, dense in ((generic, generic),
+                            (ChainState(1.4, dims), product_coherent_state(1.4, 0, 0, dims))):
+            runs = []
+            for zero_point in (False, True):
+                params = ModeParams(2.0, 1.3, 0.7, kappa_mag=0.3, phi=self.PHI,
+                                    include_zero_point=zero_point)
+                result = evolve_state(system_hamiltonian(params, dims), psi0, 3.0, 11,
+                                      dims)
+                oracle = evolve_state(build_hamiltonian_sparse(params, dims), dense,
+                                      3.0, 11, dims)
+                np.testing.assert_allclose(result.states, oracle.states, atol=1e-10)
+                runs.append(result)
+            off, on = runs
+            for name in ("norm_deviations", "expectations", "leakage"):
+                assert np.array_equal(getattr(on, name), getattr(off, name)), name
+            np.testing.assert_allclose(on.energies, off.energies + 0.5 * (2.0 + 1.3 + 0.7),
+                                       rtol=1e-14)
 
     def test_propagator_above_dense_limit(self):
         """1320 states, past the dense-eigh size: matches expm_multiply."""
