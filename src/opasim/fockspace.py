@@ -70,7 +70,7 @@ STATE_SAMPLE_CAP = 20_000_000
 #: Largest total dimension for which dense operator matrices are built.
 DENSE_OPERATOR_LIMIT = 4096
 
-#: Tolerance on the frequency-matching constraint omega0 = omega1 + omega2.
+#: Rounding slack of decimal input on the resonance omega0 = omega1 + omega2.
 FREQUENCY_MATCH_TOL = 1e-12
 
 #: Pre-normalization norm deficit above which a truncation warning is issued.
@@ -113,11 +113,12 @@ class ModeParams:
     """Physical configuration of the three-wave-mixing system.
 
     ``omega0`` must equal ``omega1 + omega2`` (the resonance condition of
-    parametric down-conversion); ``kappa_mag`` is the non-negative coupling
-    magnitude and ``phi`` the constant phase mismatch, so the effective
-    coupling is ``kappa_prime = kappa_mag * exp(-i*phi)``.  ``pump_alpha0``
-    is the initial pump amplitude used by the fluorescence and undepleted
-    pump operations.
+    parametric down-conversion) to ``FREQUENCY_MATCH_TOL``, the rounding
+    slack of decimal input, and is stored as that sum.  ``kappa_mag`` is
+    the non-negative coupling magnitude and ``phi`` the constant phase
+    mismatch, so the effective coupling is ``kappa_prime = kappa_mag *
+    exp(-i*phi)``.  ``pump_alpha0`` is the initial pump amplitude used by
+    the fluorescence and undepleted pump operations.
     """
 
     omega0: float
@@ -135,12 +136,12 @@ class ModeParams:
             raise ValueError("mode parameters must be finite")
         if not cmath.isfinite(self.pump_alpha0):
             raise ValueError("pump_alpha0 must be finite")
-        mismatch = abs(self.omega0 - (self.omega1 + self.omega2))
-        if mismatch > FREQUENCY_MATCH_TOL:
+        resonant = self.omega1 + self.omega2
+        if abs(self.omega0 - resonant) > FREQUENCY_MATCH_TOL:
             raise ValueError(
                 "frequency matching violated: omega0 - (omega1 + omega2) = "
-                f"{self.omega0 - (self.omega1 + self.omega2):g}"
-            )
+                f"{self.omega0 - resonant:g}")
+        object.__setattr__(self, "omega0", resonant)
         if self.kappa_mag < 0:
             raise ValueError(f"kappa_mag must be >= 0, got {self.kappa_mag}")
 

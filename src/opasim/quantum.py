@@ -6,10 +6,10 @@ ordered by n0.  The gauge conj(kappa'/|kappa'|)^k makes every chain a real
 symmetric tridiagonal block.  :func:`system_hamiltonian` returns that
 charge-sector form, and :func:`evolve_state` propagates it exactly: a
 chain is its energy, a pure phase, plus a zero-diagonal coupling that one
-batched half-size SVD per chain length diagonalises (``eigh`` where a
-float detuning remains).  A :class:`ChainState`, a coherent pump times
-signal and idler number states, names its about d0 occupied chains and
-their start amplitudes directly, so that no d0*d1*d2 vector is built.
+batched half-size SVD per chain length diagonalises.  A
+:class:`ChainState`, a coherent pump times signal and idler number
+states, names its about d0 occupied chains and their start amplitudes
+directly, so that no d0*d1*d2 vector is built.
 The norm, occupations, energy and top-level leakage of every sample are
 reduced inside that chain loop, so the (samples, dim) state array is
 assembled only when a caller reads ``EvolutionResult.states``.  Any other
@@ -165,8 +165,8 @@ class SectorHamiltonian:
         energies omega1 (n0+n1) + omega2 (n0+n2) (+ the zero point), from
         the integer charges and so constant along a chain, and ``coupling``
         (m, L-1) the magnitudes sqrt(n0 (n1+1) (n2+1)) linking position j-1
-        to j, taken at j.  H is the energy plus (omega0 - omega1 - omega2) n0
-        on the diagonal and kappa' times the magnitude at [j-1, j].
+        to j, taken at j.  H is the energy on the diagonal and kappa' times
+        the magnitude at [j-1, j].
         """
         p, d = self.params, self.dims
         lowest = np.maximum(np.maximum(0, charge1 - (d.d1 - 1)),
@@ -357,10 +357,10 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     gauge)`` for the chains of :func:`_chain_starts` (the others stay
     zero), once per batch of chains and chunk of samples.  Of H on a
     chain, the energy E of :meth:`SectorHamiltonian.chains` is a constant
-    whose phase no reduced observable sees.  The rest is diagonalised per
-    batch, at resonance by :func:`_bipartite_modes`, else by ``eigh``, and
-    the phases of sample k are the k-th powers of one step's phases.  The
-    sample axis is cut into even chunks whose evolved block stays within
+    whose phase no reduced observable sees.  The rest, the coupling, is
+    diagonalised per batch by :func:`_bipartite_modes`, and the phases of
+    sample k are the k-th powers of one step's phases.  The sample axis is
+    cut into even chunks whose evolved block stays within
     ``CHAIN_BLOCK_BYTES``, or holds at most six samples where that is
     more.  Each chunk continues the running product from the last sample
     of the chunk before, so the amplitudes do not depend on the cut.
@@ -370,19 +370,11 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     real block; the basis amplitudes are
     ``frame.view(complex) * gauge[:, None] * exp(-i E t)``.
     """
-    p, magnitude = h.params, abs(h.params.kappa_prime)
-    detuning, angle = p.omega0 - (p.omega1 + p.omega2), -np.angle(p.kappa_prime)
+    magnitude, angle = abs(h.params.kappa_prime), -np.angle(h.params.kappa_prime)
     for index, occupations, energy, coupling, start in _chain_starts(h, psi0):
         m, length = index.shape
         gauge = np.exp(1j * angle * np.arange(length))
-        if detuning == 0.0:
-            eigvals, vectors = _bipartite_modes(magnitude * coupling)
-        else:  # a float mismatch that ModeParams accepts
-            block = np.zeros((m, length, length))
-            j = np.arange(length)
-            block[:, j, j] = detuning * occupations[0]
-            block[:, j[:-1], j[1:]] = block[:, j[1:], j[:-1]] = magnitude * coupling
-            eigvals, vectors = np.linalg.eigh(block)
+        eigvals, vectors = _bipartite_modes(magnitude * coupling)
         phases = np.exp(-1j * step * eigvals)[:, :, None]
         carry = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
         # even chunks of at least three samples: numpy's cumprod multiplies
@@ -444,8 +436,7 @@ def _reduce_chains(h: SectorHamiltonian, psi0, step: float,
     the eigenvalues.  The leakage is its own product, not a sixth row of
     the first five's: OpenBLAS rounds a product by its shape.
     """
-    p, d = h.params, h.dims
-    magnitude = abs(p.kappa_prime)
+    d, magnitude = h.dims, abs(h.params.kappa_prime)
     sums = np.zeros((6, n_samples))
     for (_, occupations, energy, coupling, samples, frame,
          _) in _evolved_chains(h, psi0, step, n_samples):
@@ -462,7 +453,6 @@ def _reduce_chains(h: SectorHamiltonian, psi0, step: float,
         cross = (coupling.reshape(-1) @ links).reshape(n, 2).sum(axis=1)
         sums[4, samples] += 2.0 * magnitude * cross
         del frame, links  # before the next chunk is evolved
-    sums[4] += (p.omega0 - (p.omega1 + p.omega2)) * sums[1]  # the detuning's share
     return sums
 
 

@@ -197,6 +197,23 @@ class TestScenarios:
         assert ((tmp_path / "fluorescence.csv").read_bytes()
                 == (tmp_path / "quantum.csv").read_bytes())
 
+    @pytest.mark.parametrize("scenario,extra", [
+        ("quantum", "d0 = 12\nd1 = 6\nd2 = 6\n"),
+        ("meanfield", ""),
+    ], ids=["quantum", "meanfield"])
+    def test_near_resonant_omega0_is_stored_resonant(self, tmp_path, scenario, extra):
+        """omega0 = 1.3 is 0.7 + 0.6 only to rounding; the run writes the
+        bytes of omega0 = 1.2999999999999998, their sum in floats."""
+        text = MINIMAL_MEANFIELD.replace(
+            "scenario = meanfield", f"scenario = {scenario}").replace(
+            "omega1 = 1.2\nomega2 = 0.8", "omega1 = 0.7\nomega2 = 0.6") + extra
+        for name, omega0 in (("decimal", "1.3"), ("sum", "1.2999999999999998")):
+            cfg = _write(tmp_path, f"{name}.cfg", text.replace(
+                "omega0 = 2.0", f"omega0 = {omega0}") + f"output = {name}.csv\n")
+            assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        assert ((tmp_path / "decimal.csv").read_bytes()
+                == (tmp_path / "sum.csv").read_bytes())
+
     @pytest.mark.parametrize("scenario", ["quantum", "fluorescence"])
     def test_exact_runs_never_assemble_states(self, tmp_path, monkeypatch,
                                                scenario):

@@ -346,6 +346,17 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="frequency matching"):
             ModeParams(2.0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("omegas", [(1.3, 0.7, 0.6), (2.0 + 5e-13, 1.2, 0.8)],
+                             ids=["by-rounding", "5e-13"])
+    def test_near_resonance_stored_exact(self, omegas):
+        """A mismatch within the tolerance is stored as exact resonance,
+        bit for bit; one past it is still rejected."""
+        params = ModeParams(*omegas)
+        assert params.omega0 == params.omega1 + params.omega2
+        assert params.omegas == (omegas[1] + omegas[2], *omegas[1:])
+        with pytest.raises(ValueError, match="frequency matching"):
+            ModeParams(omegas[0] + 2e-12, *omegas[1:])
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
             ModeParams(2.0, 1.0, 1.0, kappa_mag=-0.1)

@@ -264,8 +264,8 @@ class TestSectorRoute:
                    include_zero_point=True),
         ModeParams(1.3, 0.7, 0.6, kappa_mag=0.25, phi=PHI, pump_alpha0=1.5),
         ModeParams(2.0 + 5e-13, 1.2, 0.8, kappa_mag=0.25, phi=PHI, pump_alpha0=1.5),
-    ], ids=["random-phi", "uncoupled", "zero-point", "detuned-by-rounding",
-            "detuned-5e-13"])
+    ], ids=["random-phi", "uncoupled", "zero-point", "near-resonant-by-rounding",
+            "near-resonant-5e-13"])
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
     def test_matches_oracle(self, dims, params):
         """States, energies and expectations agree to 1e-10.
@@ -273,10 +273,10 @@ class TestSectorRoute:
         The vacuum signal/idler state touches only the chains with
         n1 = n2, so the route skips all the others, whether it comes as a
         dense vector or as a :class:`ChainState`; the random state
-        occupies every chain.  The last two inputs are detuned within the
-        frequency-match tolerance (1.3 - (0.7 + 0.6) is 2.2e-16 in floats),
-        so their chains are diagonalised by ``eigh`` with the detuning on
-        the diagonal.
+        occupies every chain.  The last two inputs miss resonance within
+        the frequency-match tolerance (1.3 - (0.7 + 0.6) is 2.2e-16 in
+        floats); ``ModeParams`` stores them resonant, so the oracle and the
+        chains evolve the same H.
         """
         rng = np.random.default_rng(dims.total)
         generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
@@ -298,26 +298,24 @@ class TestSectorRoute:
                                        oracle.norm_deviations, atol=1e-10)
             np.testing.assert_allclose(sector.leakage, oracle.leakage, atol=1e-10)
 
-    @pytest.mark.parametrize("params, detuned", [
-        (ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3, phi=PHI), False),
-        (ModeParams(1.3, 0.7, 0.6, kappa_mag=0.3, phi=PHI), True),
-        (ModeParams(2.0 + 5e-13, 1.2, 0.8, kappa_mag=0.3, phi=PHI), True),
-    ], ids=["resonant", "detuned-by-rounding", "detuned-5e-13"])
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
-    def test_eigh_only_under_detuning(self, monkeypatch, params, detuned):
-        """At omega0 == omega1 + omega2 the chains are diagonalised by the
-        half-size SVD alone, for a dense and a chain state, observables
-        and assembled states alike; a nonzero float detuning takes
-        ``eigh``."""
+    def test_chains_never_call_eigh(self, monkeypatch):
+        """The half-size SVD alone diagonalises the chains, for a dense and
+        a chain state, observables and assembled states alike, at
+        resonance and at the two near-resonant inputs that ``ModeParams``
+        stores resonant."""
         calls, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: calls.append(a.shape) or eigh(a))
         dims = TruncationDims(7, 6, 5)
-        h = system_hamiltonian(params, dims)
-        for psi0 in (product_coherent_state(1.2, 0.4j, -0.3, dims),
-                     ChainState(1.2, dims)):
-            assert evolve_state(h, psi0, 2.0, 9, dims).states.shape == (9, dims.total)
-        assert bool(calls) == detuned
+        for omegas in ((2.0, 1.2, 0.8), (1.3, 0.7, 0.6), (2.0 + 5e-13, 1.2, 0.8)):
+            h = system_hamiltonian(ModeParams(*omegas, kappa_mag=0.3, phi=self.PHI),
+                                   dims)
+            for psi0 in (product_coherent_state(1.2, 0.4j, -0.3, dims),
+                         ChainState(1.2, dims)):
+                result = evolve_state(h, psi0, 2.0, 9, dims)
+                assert result.states.shape == (9, dims.total)
+        assert calls == []
 
     @pytest.mark.parametrize("links", [
         *(np.random.default_rng(length).uniform(0.1, 5.0, size=(4, length - 1))
