@@ -298,23 +298,29 @@ class TestSectorRoute:
                                        oracle.norm_deviations, atol=1e-10)
             np.testing.assert_allclose(sector.leakage, oracle.leakage, atol=1e-10)
 
+    @pytest.mark.parametrize("params", [
+        ModeParams(2.0, 1.2, 0.8, kappa_mag=0.3, phi=PHI),
+        ModeParams(1.3, 0.7, 0.6, kappa_mag=0.3, phi=PHI),
+        ModeParams(2.0 + 5e-13, 1.2, 0.8, kappa_mag=0.3, phi=PHI),
+    ], ids=["resonant", "detuned-by-rounding", "detuned-5e-13"])
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
-    def test_chains_never_call_eigh(self, monkeypatch):
-        """The half-size SVD alone diagonalises the chains, for a dense and
-        a chain state, observables and assembled states alike, at
-        resonance and at the two near-resonant inputs that ``ModeParams``
-        stores resonant."""
+    def test_eigh_only_under_detuning(self, monkeypatch, params):
+        """No input reaches the chains detuned, so none takes ``eigh``.
+
+        ``ModeParams`` stores the two inputs that miss resonance by
+        rounding or by 5e-13 with omega0 = omega1 + omega2, and the
+        half-size SVD alone diagonalises the chains, for a dense and a
+        chain state, observables and assembled states alike.
+        """
+        assert params.omega0 == params.omega1 + params.omega2
         calls, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: calls.append(a.shape) or eigh(a))
         dims = TruncationDims(7, 6, 5)
-        for omegas in ((2.0, 1.2, 0.8), (1.3, 0.7, 0.6), (2.0 + 5e-13, 1.2, 0.8)):
-            h = system_hamiltonian(ModeParams(*omegas, kappa_mag=0.3, phi=self.PHI),
-                                   dims)
-            for psi0 in (product_coherent_state(1.2, 0.4j, -0.3, dims),
-                         ChainState(1.2, dims)):
-                result = evolve_state(h, psi0, 2.0, 9, dims)
-                assert result.states.shape == (9, dims.total)
+        h = system_hamiltonian(params, dims)
+        for psi0 in (product_coherent_state(1.2, 0.4j, -0.3, dims),
+                     ChainState(1.2, dims)):
+            assert evolve_state(h, psi0, 2.0, 9, dims).states.shape == (9, dims.total)
         assert calls == []
 
     @pytest.mark.parametrize("links", [
