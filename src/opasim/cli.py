@@ -27,12 +27,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ResourceLimitError
-from .fockspace import (
-    SWEEP_POINT_CAP,
-    ModeParams,
-    TruncationDims,
-    product_coherent_state,
-)
+from .fockspace import SWEEP_POINT_CAP, ModeParams, TruncationDims
 from .meanfield import MeanFieldState, integrate_rk4, num_steps, trajectory_blocks
 from .pathintegral import (
     free_mode_path,
@@ -41,7 +36,7 @@ from .pathintegral import (
     path_from_trajectory,
     product_propagator,
 )
-from .quantum import NORM_TOL, ChainState, evolve_state, system_hamiltonian
+from .quantum import NORM_TOL, ProductState, evolve_state, system_hamiltonian
 from .thermal import ThermalParams, fluorescence_ensemble
 
 #: Keys a sweep may vary without breaking the frequency-matching constraint.
@@ -394,12 +389,8 @@ def _run_meanfield(config: RunConfig, out_path: Path) -> ScenarioReport:
 def _run_quantum(config: RunConfig, out_path: Path) -> ScenarioReport:
     steps = num_steps(config.t_final, config.dt)
     h = system_hamiltonian(config.params, config.dims)
-    if config.alpha1 == config.alpha2 == 0:
-        # vacuum signal and idler occupy about d0 chains: no dense state
-        psi0 = ChainState(config.params.pump_alpha0, config.dims)
-    else:
-        psi0 = product_coherent_state(config.params.pump_alpha0, config.alpha1,
-                                      config.alpha2, config.dims)
+    psi0 = ProductState((config.params.pump_alpha0, config.alpha1, config.alpha2),
+                        config.dims)
     result = evolve_state(h, psi0, steps * config.dt, steps + 1, config.dims)
     rows = _row_blocks(result.times, result.expectations,
                        result.norm_deviations, result.energies)

@@ -9,10 +9,11 @@ so that hbar = 1 and all frequencies are angular.  The pump/signal/idler
 coupling carries a single constant phase-mismatch angle ``phi`` folded into
 the effective coupling ``kappa' = kappa * exp(-i*phi)``.
 
-States are dense complex vectors of unit norm.  The Hamiltonian is built
-from the embedded ladder operators as a scipy sparse matrix, and as a
-dense array for small spaces; both serve as the oracle for the
-charge-sector form of :mod:`opasim.quantum`.
+States are complex vectors of unit norm, one per mode; their dense
+d0*d1*d2 product (:func:`product_coherent_state`) serves the oracles.  The
+Hamiltonian is built from the embedded ladder operators as a scipy
+sparse matrix, and as a dense array for small spaces; both serve as the
+oracle for the charge-sector form of :mod:`opasim.quantum`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ if TYPE_CHECKING:
 
 #: Bound on d0*d1*d2 wherever an array of one entry per basis state is
 #: built: a dense state, the occupation arrays, a Hamiltonian, assembled
-#: states.  Dims alone are not capped, so a chain-supported state
-#: (``quantum.ChainState``) runs at any d0*d1*d2 that its own entries
-#: allow.
+#: states.  Dims alone are not capped, so a ``quantum.ProductState`` runs
+#: at any d0*d1*d2 that its own entries allow.
 DEFAULT_DIM_CAP = 262144
 
 #: Bound on the samples (steps + 1) of one mean-field trajectory, and of
@@ -58,13 +58,14 @@ ENSEMBLE_MEMBER_CAP = 2_000_000
 SWEEP_POINT_CAP = 10_000
 
 #: Bound on samples * state entries of one exact evolution.  A dense
-#: initial state counts d0*d1*d2 entries per sample; a chain-supported one
-#: counts the entries of its chains.  A CLI run reduces its observables,
-#: the leakage among them, chain by chain, in chunks of samples, and never
-#: builds the state array (16 bytes per entry): measured at the cap, a
-#: dense run peaks about 0.8 bytes per entry above the import at d = 64,
-#: 0.6 at d = 10 and 3.5 at d = 3, most of it there the per-sample
-#: observables, about 95 bytes a sample.
+#: state, or a ``quantum.ProductState`` with a coherent signal or idler,
+#: counts d0*d1*d2 entries per sample; one with signal and idler on one
+#: level each counts those of its about d0 chains.  A CLI run reduces its
+#: observables chain by chain, in chunks of samples, and never builds the
+#: state array (16 bytes per entry): measured at the cap, a coherent-seed
+#: run peaks about 0.6 bytes per entry above the import at d = 64, 0.5 at
+#: d = 10 and 3.3 at d = 3, most of it there the per-sample observables,
+#: about 95 bytes a sample.
 STATE_SAMPLE_CAP = 20_000_000
 
 #: Largest total dimension for which dense operator matrices are built.
@@ -265,10 +266,13 @@ def coherent_state(alpha: complex, d: int) -> np.ndarray:
     the Poisson tail beyond the top level, which a ladder of about
     |alpha|^2 + c |alpha| levels already keeps small.  Raises
     :class:`DivergenceError` when every amplitude underflows to zero, as
-    it does far below the ladder's reach (|alpha| = 40 at d = 4).
+    it does far below the ladder's reach (|alpha| = 40 at d = 4), and
+    :class:`ValueError` for a non-finite ``alpha``.
     """
     if d < 2:
         raise ValueError(f"ladder dimension must be >= 2, got {d!r}")
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
     c = coherent_amplitudes(alpha, d)
     norm = np.linalg.norm(c)
     if norm == 0:

@@ -6,13 +6,13 @@ ordered by n0.  The gauge conj(kappa'/|kappa'|)^k makes every chain a real
 symmetric tridiagonal block.  :func:`system_hamiltonian` returns that
 charge-sector form, and :func:`evolve_state` propagates it exactly: a
 chain is its energy, a pure phase, plus a zero-diagonal coupling that one
-batched half-size SVD per chain length diagonalises.  A
-:class:`ChainState`, a coherent pump times signal and idler number
-states, names its about d0 occupied chains and their start amplitudes
-directly, so that no d0*d1*d2 vector is built.
-The norm, occupations, energy and top-level leakage of every sample are
-reduced inside that chain loop, so the (samples, dim) state array is
-assembled only when a caller reads ``EvolutionResult.states``.  Any other
+batched half-size SVD per batch of chains diagonalises.  A
+:class:`ProductState`, a coherent or number state in each mode, gives its
+amplitude on a chain entry as a product of three ladder amplitudes, so
+no d0*d1*d2 vector is built.  The norm, occupations, energy and
+top-level leakage of every sample are reduced inside that chain loop,
+so the (samples, dim) state array is assembled only when a caller reads
+``EvolutionResult.states``.  Any other
 Hermitian H, dense or scipy sparse, is propagated through a full
 eigendecomposition or, for larger or sparse inputs, Krylov evaluation of
 the matrix exponential acting on the state.  Every route satisfies the
@@ -36,7 +36,6 @@ from .fockspace import (
     TruncationDims,
     coherent_state,
     occupation_arrays,
-    product_coherent_state,
 )
 
 #: Above this total dimension, a dense H is propagated by sparse Krylov
@@ -153,14 +152,17 @@ class SectorHamiltonian:
     def shape(self) -> tuple[int, int]:
         return (self.dims.total, self.dims.total)
 
+    @property
+    def run(self) -> int:  # chains whose (m, L, L) block fits CHAIN_BLOCK_BYTES
+        return max(1, CHAIN_BLOCK_BYTES // (8 * min(self.dims.d1, self.dims.d2) ** 2))
+
     def chains(self, charge1: np.ndarray, charge2: np.ndarray):
-        """Yield ``(chosen, index, occupations, energy, coupling)`` per
-        chain length L, over the chains of the given charges.
+        """Yield ``(index, occupations, energy, coupling)`` per batch of
+        at most :attr:`run` chains of one length L, in their requested order.
 
         ``charge1`` and ``charge2`` hold the charges n0+n1 and n0+n2 of the
         requested chains; those without a basis state are skipped.
-        ``chosen`` holds the positions of the m requested chains of length
-        L, in their requested order, ``index`` (m, L) their basis indices,
+        ``index`` (m, L) holds the basis indices of a batch's m chains,
         ``occupations`` (3, m, L) their n0, n1, n2, ``energy`` (m, L) their
         energies omega1 (n0+n1) + omega2 (n0+n2) (+ the zero point), from
         the integer charges and so constant along a chain, and ``coupling``
@@ -175,117 +177,118 @@ class SectorHamiltonian:
         lengths = highest - lowest + 1
         order = np.argsort(lengths, kind="stable")
         cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-        for chosen in np.split(order, cuts):
-            length = lengths[chosen[0]]
+        run = self.run
+        for group in np.split(order, cuts):
+            length = lengths[group[0]]
             if length < 1:
                 continue
-            n0 = lowest[chosen][:, None] + np.arange(length)
-            n1 = charge1[chosen][:, None] - n0
-            n2 = charge2[chosen][:, None] - n0
-            energy = p.omega1 * (n0 + n1) + p.omega2 * (n0 + n2)
-            if p.include_zero_point:
-                energy = energy + 0.5 * (p.omega0 + p.omega1 + p.omega2)
-            coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
-            index = (n0 * d.d1 + n1) * d.d2 + n2
-            yield chosen, index, np.stack([n0, n1, n2]), energy, coupling
+            for first in range(0, group.size, run):
+                chosen = group[first:first + run]
+                n0 = lowest[chosen][:, None] + np.arange(length)
+                n1 = charge1[chosen][:, None] - n0
+                n2 = charge2[chosen][:, None] - n0
+                energy = p.omega1 * (n0 + n1) + p.omega2 * (n0 + n2)
+                if p.include_zero_point:
+                    energy = energy + 0.5 * (p.omega0 + p.omega1 + p.omega2)
+                coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
+                index = (n0 * d.d1 + n1) * d.d2 + n2
+                yield index, np.stack([n0, n1, n2]), energy, coupling
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """The state |alpha0> x |n1> x |n2>, held by its charge chains.
+class ProductState:
+    """The product state |m0> x |m1> x |m2>, held by its mode ladders.
 
-    A coherent pump times signal and idler number states occupies one
-    chain per pump level n0, the chain of charges (n0+n1, n0+n2), at the
-    single entry (n0, n1, n2), where its amplitude is the pump's coherent
-    amplitude c(n0).  That is about d0 of the (d0+d1-1)(d0+d2-1) chains,
-    so :func:`evolve_state` evolves it without a dense d0*d1*d2 vector:
-    its cost, its memory and its cap (``STATE_SAMPLE_CAP``, on
-    :attr:`entries` per sample, about d0*min(d1, d2)) follow the occupied
-    chains, not d0*d1*d2.  ``shape`` is the dense state's, for the checks
-    the two forms share.  A non-finite ``alpha0``, or levels that are not
-    integers on the ladders, raise :class:`ValueError`.
+    ``modes`` holds a number level (an int) or a coherent amplitude (a
+    complex) per mode; a real float, a level off its ladder or a
+    non-finite amplitude raises :class:`ValueError`.  The amplitude on
+    (n0, n1, n2) is c0[n0] (c1[n1] c2[n2]), from :attr:`ladders`, built
+    on first use, after a run's cap is checked.  With signal and idler on
+    one level each (amplitude 0 is level 0) the state occupies one chain
+    per pump level and :attr:`entries`, the entries a sample holds, is
+    about d0*min(d1, d2); otherwise it is d0*d1*d2.
     """
 
-    alpha0: complex
+    modes: tuple
     dims: TruncationDims
-    n1: int = 0
-    n2: int = 0
 
     def __post_init__(self):
-        if not cmath.isfinite(self.alpha0):
-            raise ValueError(f"alpha0 must be finite, got {self.alpha0!r}")
-        if not all(isinstance(n, (int, np.integer)) for n in (self.n1, self.n2)):
-            raise ValueError(
-                f"signal/idler levels must be integers, got ({self.n1!r}, {self.n2!r})")
-        if not (0 <= self.n1 < self.dims.d1 and 0 <= self.n2 < self.dims.d2):
-            raise ValueError(
-                f"signal/idler levels ({self.n1}, {self.n2}) outside {self.dims}")
+        d = self.dims
+        for label, size in zip(self.modes, (d.d0, d.d1, d.d2), strict=True):
+            if isinstance(label, complex) and not cmath.isfinite(label):
+                raise ValueError(f"coherent amplitudes must be finite, got {label!r}")
+            if not isinstance(label, (complex, int, np.integer)):
+                raise ValueError("number levels must be integers and coherent "
+                                 f"amplitudes complex, got {label!r}")
+            if not isinstance(label, complex) and not 0 <= label < size:
+                raise ValueError(f"number level {label} outside a {size}-level ladder")
 
     @property
-    def shape(self) -> tuple[int]:
-        return (self.dims.total,)
+    def levels(self) -> list:  # per mode, the one level occupied, or None
+        return [label if not isinstance(label, complex) else None if label else 0
+                for label in self.modes]
 
     @property
     def entries(self) -> int:
-        """State entries one sample holds: those of its d0 chains."""
-        d, s = self.dims, min(self.n1, self.n2)
-        r = min(d.d1 - 1 - self.n1, d.d2 - 1 - self.n2)
+        d, (_, n1, n2) = self.dims, self.levels
+        if n1 is None or n2 is None:
+            return d.total
+        s, r = min(n1, n2), min(d.d1 - 1 - n1, d.d2 - 1 - n2)
 
         def excess(q):  # sum over n0 < d0 of max(0, n0 - q)
-            if q >= 0:
-                return max(0, d.d0 - 1 - q) * max(0, d.d0 - q) // 2
-            return d.d0 * (d.d0 - 1) // 2 - q * d.d0
+            low, high = max(1, -q), d.d0 - 1 - q
+            return (low + high) * max(0, high - low + 1) // 2
 
         # chain n0 runs over pump levels max(0, n0 - r) .. min(d0 - 1, n0 + s)
         return (d.d0 * (d.d0 + 1) // 2 + d.d0 * s
                 - excess(d.d0 - 1 - s) - excess(r))
 
     @cached_property
-    def pump_amplitudes(self) -> np.ndarray:
-        """c(n0), n0 < d0: the normalised truncated coherent pump state."""
-        return coherent_state(self.alpha0, self.dims.d0)
+    def ladders(self) -> tuple[np.ndarray, ...]:
+        """Per mode, a one-hot level or the normalised truncated coherent state."""
+        d = self.dims
+        return tuple(coherent_state(label, size) if isinstance(label, complex)
+                     else np.eye(1, size, label)[0]
+                     for label, size in zip(self.modes, (d.d0, d.d1, d.d2)))
+
+    def amplitudes(self, occupations: np.ndarray) -> np.ndarray:
+        """c0[n0] (c1[n1] c2[n2]) at the (3, ...) occupations."""
+        c0, c1, c2 = self.ladders
+        return c0[occupations[0]] * (c1[occupations[1]] * c2[occupations[2]])
 
 
 def _chain_starts(h: SectorHamiltonian, psi0):
     """Yield ``(index, occupations, energy, coupling, start)`` per batch
     of chains, for the chains on which ``psi0`` does not vanish.
 
-    ``psi0`` is a dense state or a :class:`ChainState`; ``start`` (m, L)
+    ``psi0`` is a dense state or a :class:`ProductState`; ``start`` (m, L)
     holds its amplitudes on the m chains of a batch, all of length L.  A
-    dense state is gathered from every chain, one batch per chain length.
-    A chain state names its own chains, one per nonzero pump amplitude,
-    and sets their start entries directly.  Its pump levels are taken in
-    runs whose (m, L, L) blocks stay within ``CHAIN_BLOCK_BYTES``, and
-    within a run the short chains are joined end to end (see
-    :func:`_joined`).
+    product state with signal and idler on levels n1, n2 occupies the
+    chains (n0+n1, n0+n2) of its nonzero pump amplitudes, taken in runs of
+    :attr:`SectorHamiltonian.run` levels whose short chains are joined (see
+    :func:`_joined`).  Any other state is read on every chain with a basis
+    state, whose n1 - n2 lies in [1 - d2, d1 - 1].
     """
-    d = h.dims
-    if isinstance(psi0, ChainState):
-        levels = np.flatnonzero(psi0.pump_amplitudes)
-        run = max(1, CHAIN_BLOCK_BYTES // (8 * min(d.d1, d.d2) ** 2))
-        for first in range(0, levels.size, run):
-            chosen_levels = levels[first:first + run]
-            amplitudes = psi0.pump_amplitudes[chosen_levels]
-            groups = [
-                (index, occupations, energy, coupling,
-                 np.where(occupations[1] == psi0.n1, amplitudes[chosen, None], 0))
-                for chosen, index, occupations, energy, coupling in h.chains(
-                    chosen_levels + psi0.n1, chosen_levels + psi0.n2)]
-            yield from _joined(groups)
+    d, product = h.dims, isinstance(psi0, ProductState)
+    if product and None not in psi0.levels[1:]:
+        _, n1, n2 = psi0.levels
+        pump = np.flatnonzero(psi0.ladders[0])
+        for chosen in np.split(pump, np.arange(h.run, pump.size, h.run)):
+            yield from _joined((*batch, psi0.amplitudes(batch[1]))
+                               for batch in h.chains(chosen + n1, chosen + n2))
         return
-    width = d.d0 + d.d2 - 1
-    # every charge pair, n0+n1 major, so the chains keep their basis order
-    charge1, charge2 = np.divmod(np.arange((d.d0 + d.d1 - 1) * width), width)
-    for _, index, occupations, energy, coupling in h.chains(charge1, charge2):
-        start = psi0[index]
-        occupied = np.any(start != 0, axis=1)
-        if not occupied.all():
-            if not occupied.any():
-                continue
-            index, occupations, energy, coupling, start = (
-                index[occupied], occupations[:, occupied], energy[occupied],
-                coupling[occupied], start[occupied])
-        yield index, occupations, energy, coupling, start
+    width = d.d1 + d.d2 - 1
+    # n0+n1 major; n1 - n2 is offset - (d2 - 1)
+    charge1, offset = np.divmod(np.arange((d.d0 + d.d1 - 1) * width), width)
+    for index, occupations, energy, coupling in h.chains(
+            charge1, charge1 - offset + (d.d2 - 1)):
+        start = psi0.amplitudes(occupations) if product else psi0[index]
+        kept = start.any(axis=1)
+        if kept.all():
+            yield index, occupations, energy, coupling, start
+        elif kept.any():
+            yield tuple(a[..., kept, :] for a in (index, occupations, energy,
+                                                  coupling, start))
 
 
 def _joined(groups: list):
@@ -398,6 +401,12 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
             del frame  # so that the caller's del frees it before the next chunk
 
 
+def _check_entries(n_samples: int, entries: int) -> None:
+    if n_samples * entries > STATE_SAMPLE_CAP:
+        raise ResourceLimitError(f"{n_samples} samples of {entries} state entries "
+                                 f"exceed the cap of {STATE_SAMPLE_CAP} state entries")
+
+
 def _assemble_states(h: SectorHamiltonian, psi0, step: float,
                      n_samples: int) -> np.ndarray:
     """The (n_samples, dim) states exp(-i H k step) psi0, chain by chain.
@@ -407,11 +416,7 @@ def _assemble_states(h: SectorHamiltonian, psi0, step: float,
     states ``STATE_SAMPLE_CAP`` entries.
     """
     h.dims.check_dense()
-    if n_samples * h.dims.total > STATE_SAMPLE_CAP:
-        raise ResourceLimitError(
-            f"{n_samples} assembled samples of {h.dims.total} states exceed "
-            f"the cap of {STATE_SAMPLE_CAP} state entries"
-        )
+    _check_entries(n_samples, h.dims.total)
     times = step * np.arange(n_samples)
     states = np.zeros((n_samples, h.dims.total), dtype=complex)
     for (index, _, energy, _, samples, frame,
@@ -465,48 +470,36 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
                  dims: TruncationDims) -> EvolutionResult:
     """Evolve ``psi0`` under ``h`` and sample uniformly on [0, t_final].
 
-    ``h`` may be the charge-sector form from :func:`system_hamiltonian`,
-    a dense array or a scipy sparse matrix; the latter two must be
-    Hermitian to ``HERMITICITY_TOL``.  ``psi0`` is a dense state vector,
-    or, for the charge-sector form, a :class:`ChainState`, which is
-    evolved on its occupied chains alone.  Per-mode occupation expectations
-    and the top-level population on ``dims`` are recorded, and
-    truncation-boundary leakage is monitored (population of any top
-    Fock level above ``LEAKAGE_TOL`` attaches a warning to the result).
-    For the charge-sector form ``dims`` must be the Hamiltonian's own, the
-    observables, the leakage among them, are reduced chain by chain, and
-    the result's ``states`` are assembled from the chains only if they
-    are read.  The other forms compute the states first and take the
-    observables from them.  Raises
-    :class:`ValueError` for a negative or non-finite ``t_final`` and
-    :class:`ResourceLimitError` before allocating if the samples would
-    hold more than ``STATE_SAMPLE_CAP`` state entries: d0*d1*d2 per sample
-    for a dense state, :attr:`ChainState.entries` for a chain state.
+    ``h`` is the charge-sector form from :func:`system_hamiltonian`, or a
+    dense array or scipy sparse matrix, Hermitian to ``HERMITICITY_TOL``.
+    ``psi0`` is a :class:`ProductState`, evolved on its occupied chains
+    under the charge-sector form of its own ``dims``, or a dense vector,
+    which the oracle tests use.  Per-mode occupations, <H>, the norm and
+    the top-level population on ``dims`` (the leakage; above
+    ``LEAKAGE_TOL`` it attaches a warning) are recorded.  The
+    charge-sector form reduces them chain by chain and assembles the
+    result's ``states`` only if they are read; the other forms compute
+    the states first.  Raises :class:`ValueError` for a negative or
+    non-finite ``t_final`` and :class:`ResourceLimitError` before
+    allocating if the samples would hold more than ``STATE_SAMPLE_CAP``
+    state entries: d0*d1*d2 per sample for a dense state,
+    :attr:`ProductState.entries` for a product state.
     """
-    chain_state = isinstance(psi0, ChainState)
-    if not chain_state:
+    product = isinstance(psi0, ProductState)
+    if not product:
         psi0 = np.asarray(psi0, dtype=complex)
+    size = psi0.dims.total if product else psi0.shape[0]
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if h.shape[0] != h.shape[1] or h.shape[0] != psi0.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: H is {h.shape}, state has length {psi0.shape[0]}"
-        )
-    if dims.total != psi0.shape[0]:
-        raise ValueError(
-            f"dims.total = {dims.total} does not match state length {psi0.shape[0]}"
-        )
-    if chain_state and (not isinstance(h, SectorHamiltonian) or psi0.dims != dims):
-        raise ValueError("a ChainState evolves under the charge-sector form "
+    if not tuple(h.shape) == (size, size) == (dims.total, dims.total):
+        raise ValueError(f"dimension mismatch: H is {h.shape}, state has length "
+                         f"{size}, dims.total = {dims.total}")
+    if product and (not isinstance(h, SectorHamiltonian) or psi0.dims != dims):
+        raise ValueError("a ProductState evolves under the charge-sector form "
                          "of its own dims")
-    entries = psi0.entries if chain_state else psi0.shape[0]
-    if n_samples * entries > STATE_SAMPLE_CAP:
-        raise ResourceLimitError(
-            f"{n_samples} samples of {entries} state entries exceed the cap of "
-            f"{STATE_SAMPLE_CAP} state entries"
-        )
+    _check_entries(n_samples, psi0.entries if product else size)
     times = np.linspace(0.0, t_final, n_samples)
     if isinstance(h, SectorHamiltonian):
         if dims != h.dims:
@@ -558,14 +551,23 @@ def propagator_exact(params: ModeParams, dims: TruncationDims,
                      t: float) -> complex:
     """Exact truncated-space transition amplitude <alpha_b| e^{-iHt} |alpha_a>.
 
-    Raises :class:`ValueError` for a non-finite ``t``.
+    |alpha_a> is evolved on its chains to the one sample t, and each
+    batch's amplitudes, with their energy phases exp(-iEt), are summed
+    against <alpha_b|'s.  Raises :class:`ValueError` for a non-finite
+    ``t`` or label, and :class:`ResourceLimitError` if two samples of
+    |alpha_a> exceed ``STATE_SAMPLE_CAP`` state entries.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    psi_a = product_coherent_state(*alpha_a, dims)
-    psi_b = product_coherent_state(*alpha_b, dims)
-    states = _assemble_states(system_hamiltonian(params, dims), psi_a, t, 2)
-    return complex(np.vdot(psi_b, states[1]))
+    state_a, state_b = (ProductState(tuple(map(complex, labels)), dims)
+                        for labels in (alpha_a, alpha_b))
+    _check_entries(2, state_a.entries)
+    h = system_hamiltonian(params, dims)
+    return complex(sum(
+        np.vdot(state_b.amplitudes(occupations),
+                frame.view(complex)[:, :, 1] * gauge * np.exp(-1j * energy * t))
+        for _, occupations, energy, _, _, frame, gauge
+        in _evolved_chains(h, state_a, t, 2)))
 
 
 def fluorescence_from_vacuum(params: ModeParams, dims: TruncationDims,
@@ -574,9 +576,9 @@ def fluorescence_from_vacuum(params: ModeParams, dims: TruncationDims,
 
     The mean-field equations keep vacuum signal and idler at exactly zero,
     so any nonzero <n1>(t), <n2>(t) here is purely quantum seeding.  The
-    state is a :class:`ChainState`, so only its about d0 occupied chains
-    are evolved.
+    state is a :class:`ProductState` with signal and idler at level 0, so
+    only its about d0 occupied chains are evolved.
     """
-    psi0 = ChainState(params.pump_alpha0, dims)
-    h = system_hamiltonian(params, dims)
-    return evolve_state(h, psi0, t_final, n_samples, dims)
+    return evolve_state(system_hamiltonian(params, dims),
+                        ProductState((complex(params.pump_alpha0), 0, 0), dims),
+                        t_final, n_samples, dims)

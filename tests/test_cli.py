@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opasim
-from opasim import cli, meanfield, quantum
+from opasim import cli, fockspace, meanfield, quantum
 from opasim.cli import (
     SCENARIOS,
     SWEEPABLE_KEYS,
@@ -25,6 +25,7 @@ from opasim.cli import (
     write_csv_atomic,
 )
 from opasim.errors import ConfigError, ResourceLimitError
+from opasim.fockspace import TruncationDims
 from opasim.meanfield import MeanFieldState, integrate_rk4, trajectory_blocks
 
 MINIMAL_MEANFIELD = """\
@@ -108,15 +109,18 @@ class TestParseConfig:
             parse_config(text)
 
     def test_dimension_cap_raises_resource_error(self, tmp_path):
-        """Dims parse at any size; a coherent-seed quantum run at 100^3 is
-        refused where its dense state would be built, before allocating."""
+        """Dims parse at any size; a coherent-seed quantum run at 100^3
+        holds 10^6 state entries per sample, so its 101 samples are
+        refused on the state-entry cap, before any ladder or chain is
+        built."""
         text = (MINIMAL_MEANFIELD.replace("scenario = meanfield", "scenario = quantum")
                 + "d0 = 100\nd1 = 100\nd2 = 100\n")
         config = parse_config(text)
         assert config.dims.total == 10 ** 6
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            with pytest.raises(ResourceLimitError,
+                               match="101 samples of 1000000 state entries exceed"):
                 run(config, output_dir=str(tmp_path), quiet=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -217,12 +221,15 @@ class TestScenarios:
     @pytest.mark.parametrize("scenario", ["quantum", "fluorescence"])
     def test_exact_runs_never_assemble_states(self, tmp_path, monkeypatch,
                                                scenario):
-        """The CSV and the summary come from the per-chain reduction; the
-        (samples, dim) state array is never built."""
-        def no_states(*args):
-            raise AssertionError("the state array was assembled")
+        """The CSV and the summary come from the per-chain reduction: the
+        (samples, dim) state array is never built, and neither is a dense
+        initial state, also for the coherent signal of the quantum run."""
+        def forbidden(*args):
+            raise AssertionError("a d0*d1*d2 array was built")
 
-        monkeypatch.setattr(quantum, "_assemble_states", no_states)
+        monkeypatch.setattr(quantum, "_assemble_states", forbidden)
+        monkeypatch.setattr(fockspace, "product_coherent_state", forbidden)
+        monkeypatch.setattr(TruncationDims, "check_dense", forbidden)
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
                                          f"scenario = {scenario}")
         cfg = _write(tmp_path, "run.cfg", text + "d0 = 12\nd1 = 6\nd2 = 7\n")
@@ -481,6 +488,27 @@ class TestMainExitCodes:
         assert data.shape[0] == 5
         assert np.max(data[:, header.index("norm_dev")]) < 1e-9
         assert data[-1, header.index("n1")] > 0
+
+    def test_coherent_quantum_runs_past_the_dense_cap(self, tmp_path):
+        """A coherent signal at (80,80,80), twice the dense cap: the product
+        state is read on its chains from its three ladders.  Measured: a
+        5.2 MB peak, where the dense initial state alone would take
+        16 d0 d1 d2 bytes, 8.2 MB."""
+        text = ("scenario = quantum\nomega0 = 2.0\nomega1 = 1.2\nomega2 = 0.8\n"
+                "kappa = 0.1\nalpha0_re = 3\nalpha1_im = 2\n"
+                "d0 = 80\nd1 = 80\nd2 = 80\nt_final = 0.4\ndt = 0.1\n")
+        cfg = _write(tmp_path, "run.cfg", text)
+        tracemalloc.start()
+        try:
+            assert main([str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20 < 16 * 80 ** 3
+        header, data = read_csv(tmp_path / "quantum.csv")
+        assert data.shape[0] == 5
+        assert np.max(data[:, header.index("norm_dev")]) < 1e-9
+        np.testing.assert_allclose(data[0, 1:4], [9.0, 4.0, 0.0], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("extra", [
         "d0 = 621\nd1 = 25\nd2 = 25\ndt = 0.0001\n",

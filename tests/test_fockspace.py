@@ -293,6 +293,16 @@ class TestCoherentStates:
             with pytest.raises(DivergenceError, match=f"no weight on a {d}-level"):
                 coherent_state(alpha, d)
 
+    @pytest.mark.parametrize("alpha", [math.nan, complex(math.inf, 0.0),
+                                       complex(0.5, -math.inf)])
+    def test_non_finite_label_raises(self, alpha):
+        """A value error, raised before any amplitude is computed: no NaN
+        vector and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                coherent_state(alpha, 6)
+
     @pytest.mark.parametrize("alpha", [40.0, 40.0 * cmath.exp(0.7j)])
     def test_large_label_does_not_underflow(self, alpha):
         """exp(-|alpha|^2/2) = exp(-800) underflows to 0, yet the state is

@@ -17,6 +17,7 @@ from scipy.sparse.linalg import expm_multiply
 from opasim import quantum
 from opasim.errors import DivergenceError, ResourceLimitError, TruncationWarning
 from opasim.fockspace import (
+    DEFAULT_DIM_CAP,
     ModeParams,
     TruncationDims,
     build_hamiltonian,
@@ -26,8 +27,9 @@ from opasim.fockspace import (
     occupation_arrays,
     product_coherent_state,
 )
+from opasim.pathintegral import free_propagator_closed_form
 from opasim.quantum import (
-    ChainState,
+    ProductState,
     evolve_state,
     fluorescence_from_vacuum,
     propagator_exact,
@@ -272,18 +274,22 @@ class TestSectorRoute:
 
         The vacuum signal/idler state touches only the chains with
         n1 = n2, so the route skips all the others, whether it comes as a
-        dense vector or as a :class:`ChainState`; the random state
-        occupies every chain.  The last two inputs miss resonance within
-        the frequency-match tolerance (1.3 - (0.7 + 0.6) is 2.2e-16 in
-        floats); ``ModeParams`` stores them resonant, so the oracle and the
-        chains evolve the same H.
+        dense vector or as a :class:`ProductState`; the random state
+        occupies every chain, and the coherent product state, read on
+        every chain from its three ladders, nearly every one.  The last
+        two inputs miss resonance within the frequency-match tolerance
+        (1.3 - (0.7 + 0.6) is 2.2e-16 in floats); ``ModeParams`` stores
+        them resonant, so the oracle and the chains evolve the same H.
         """
         rng = np.random.default_rng(dims.total)
         generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
         generic /= np.linalg.norm(generic)
         vacuum_pair = product_coherent_state(params.pump_alpha0, 0, 0, dims)
+        labels = (complex(params.pump_alpha0), 0.4j, -0.3 + 0j)
         for psi0, dense in ((vacuum_pair, vacuum_pair),
-                            (ChainState(params.pump_alpha0, dims), vacuum_pair),
+                            (ProductState((labels[0], 0, 0), dims), vacuum_pair),
+                            (ProductState(labels, dims),
+                             product_coherent_state(*labels, dims)),
                             (generic, generic)):
             sector = evolve_state(system_hamiltonian(params, dims), psi0, 3.0, 7,
                                   dims=dims)
@@ -310,7 +316,7 @@ class TestSectorRoute:
         ``ModeParams`` stores the two inputs that miss resonance by
         rounding or by 5e-13 with omega0 = omega1 + omega2, and the
         half-size SVD alone diagonalises the chains, for a dense and a
-        chain state, observables and assembled states alike.
+        product state, observables and assembled states alike.
         """
         assert params.omega0 == params.omega1 + params.omega2
         calls, eigh = [], np.linalg.eigh
@@ -319,7 +325,7 @@ class TestSectorRoute:
         dims = TruncationDims(7, 6, 5)
         h = system_hamiltonian(params, dims)
         for psi0 in (product_coherent_state(1.2, 0.4j, -0.3, dims),
-                     ChainState(1.2, dims)):
+                     ProductState((1.2 + 0j, 0, 0), dims)):
             assert evolve_state(h, psi0, 2.0, 9, dims).states.shape == (9, dims.total)
         assert calls == []
 
@@ -359,7 +365,8 @@ class TestSectorRoute:
         generic = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
         generic /= np.linalg.norm(generic)
         for psi0, dense in ((generic, generic),
-                            (ChainState(1.4, dims), product_coherent_state(1.4, 0, 0, dims))):
+                            (ProductState((1.4 + 0j, 0, 0), dims),
+                             product_coherent_state(1.4, 0, 0, dims))):
             runs = []
             for zero_point in (False, True):
                 params = ModeParams(2.0, 1.3, 0.7, kappa_mag=0.3, phi=self.PHI,
@@ -490,7 +497,8 @@ class TestSectorRoute:
 
 
 class TestChainState:
-    """The chain-supported form of |alpha0, n1, n2>."""
+    """:class:`ProductState`, a coherent or number state per mode, held
+    by its ladders and evolved on its charge chains."""
 
     PHI = 0.83
 
@@ -506,12 +514,35 @@ class TestChainState:
             for idler in range(dims.d2):
                 charges = {(level + signal, level + idler) for level in range(dims.d0)}
                 chained = sum((a, b) in charges for a, b in zip(n0 + n1, n0 + n2))
-                state = ChainState(1.0, dims, signal, idler)
+                state = ProductState((1.0 + 0j, signal, idler), dims)
                 assert state.entries == chained
+
+    @pytest.mark.parametrize("signal,idler", [(0.5j, 0), (0, -0.2 + 0j), (0.3, 0.1j)],
+                             ids=["coherent-signal", "coherent-idler", "both"])
+    def test_coherent_signal_or_idler_counts_every_entry(self, signal, idler):
+        """Spread over its ladder, a coherent signal or idler may occupy
+        every chain, so a sample counts d0*d1*d2 entries."""
+        dims = TruncationDims(30, 7, 12)
+        state = ProductState((1.0 + 0j, complex(signal), complex(idler)), dims)
+        assert state.entries == dims.total
+
+    def test_amplitude_zero_is_level_zero(self):
+        """coherent_state(0, d) is an exact one-hot, so the coherent label
+        0 takes the number state's chains and writes its bytes."""
+        dims = TruncationDims(12, 5, 6)
+        h = system_hamiltonian(ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2, phi=0.4), dims)
+        coherent = ProductState((1.3 - 0.2j, 0j, 0j), dims)
+        number = ProductState((1.3 - 0.2j, 0, 0), dims)
+        assert coherent.levels == number.levels == [None, 0, 0]
+        assert coherent.entries == number.entries < dims.total
+        first, second = (evolve_state(h, psi0, 2.0, 9, dims)
+                         for psi0 in (coherent, number))
+        for name in ("expectations", "energies", "norm_deviations", "leakage"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
     def test_levels_outside_the_ladders_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            ChainState(1.0, TruncationDims(4, 3, 3), 3, 0)
+            ProductState((1.0 + 0j, 3, 0), TruncationDims(4, 3, 3))
 
     @pytest.mark.parametrize("alpha0,n1,n2,message", [
         (1.0, 0.5, 0, "integers"), (1.0, 1.0, 0, "integers"),
@@ -521,14 +552,15 @@ class TestChainState:
     def test_non_integer_levels_and_non_finite_pump_rejected(self, alpha0, n1,
                                                              n2, message):
         """Rejected when made, not later as an IndexError in the chain
-        gather or a DivergenceError after the evolution."""
+        gather or a DivergenceError after the evolution.  A real float
+        could be a level or an amplitude, so it is rejected too."""
         with pytest.raises(ValueError, match=message):
-            ChainState(alpha0, TruncationDims(4, 3, 3), n1, n2)
+            ProductState((complex(alpha0), n1, n2), TruncationDims(4, 3, 3))
 
     def test_needs_the_sector_form_of_its_dims(self):
         dims = TruncationDims(4, 5, 3)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1)
-        state = ChainState(1.0, dims)
+        state = ProductState((1.0 + 0j, 0, 0), dims)
         with pytest.raises(ValueError, match="charge-sector form"):
             evolve_state(build_hamiltonian(params, dims), state, 1.0, 2, dims)
         other = TruncationDims(4, 3, 5)
@@ -537,9 +569,9 @@ class TestChainState:
 
     def test_cap_counts_entries_and_is_checked_before_allocating(self):
         """Past the dense cap, the run is capped on its own entries times
-        samples, before the pump amplitudes or any chain are built."""
+        samples, before the ladders or any chain are built."""
         dims = TruncationDims(10 ** 8, 25, 25)
-        state = ChainState(20.0, dims)
+        state = ProductState((20.0 + 0j, 0, 0), dims)
         h = system_hamiltonian(ModeParams(2.0, 1.2, 0.8, kappa_mag=0.015), dims)
         tracemalloc.start()
         try:
@@ -549,7 +581,7 @@ class TestChainState:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert "pump_amplitudes" not in vars(state)
+        assert "ladders" not in vars(state)
 
     def test_runs_past_the_dense_cap_without_assembling(self):
         """(621,25,25) is 1.5 times the dense cap; the chain form runs it,
@@ -557,7 +589,7 @@ class TestChainState:
         dims = TruncationDims(621, 25, 25)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.015, pump_alpha0=20.0)
         result = evolve_state(system_hamiltonian(params, dims),
-                              ChainState(20.0, dims), 2.0, 3, dims)
+                              ProductState((20.0 + 0j, 0, 0), dims), 2.0, 3, dims)
         assert result.max_norm_deviation < 1e-12
         assert result.expectations[0, 0] == pytest.approx(400.0, rel=1e-12)
         with pytest.raises(ResourceLimitError, match="cap"):
@@ -592,7 +624,7 @@ class TestChainState:
         dims = TruncationDims(26, 24, 25)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=self.PHI)
         h = system_hamiltonian(params, dims)
-        seed = ChainState(2.5, dims)
+        seed = ProductState((2.5 + 0j, 0, 0), dims)
         joined = evolve_state(h, seed, 2.0, 11, dims)
         dense = evolve_state(h, product_coherent_state(2.5, 0, 0, dims), 2.0, 11, dims)
         # lengths 1 + 23, ..., 11 + 13 join the length-24 rows; 12 stays alone
@@ -629,6 +661,29 @@ class TestPropagatorExact:
         labels = (0.5, 0.3j, -0.2)
         value = propagator_exact(params, dims, labels, labels, 0.0)
         assert value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha_a,alpha_b", [
+        ((np.nan, 0, 0), (0.5, 0, 0)), ((0.5, 0, 0), (0.5, complex(0, np.inf), 0)),
+    ], ids=["nan-ket", "infinite-bra"])
+    def test_non_finite_label_rejected(self, alpha_a, alpha_b):
+        """A value error when the product state is made, not a NaN
+        amplitude with RuntimeWarnings."""
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.2)
+        with pytest.raises(ValueError, match="finite"):
+            propagator_exact(params, TruncationDims(4, 4, 4), alpha_a, alpha_b, 1.0)
+
+    def test_free_product_past_the_dense_cap(self):
+        """kappa = 0 at (65,65,65), past the dense cap that a dense state
+        would meet: the amplitude is the product of the three modes' free
+        closed forms."""
+        dims = TruncationDims(65, 65, 65)
+        assert dims.total > DEFAULT_DIM_CAP
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0)
+        alpha_a, alpha_b, t = (1.5 + 0.5j, -0.8j, 1.1), (1.3, 0.2 - 0.6j, 0.9 + 0.3j), 0.7
+        value = propagator_exact(params, dims, alpha_a, alpha_b, t)
+        expected = np.prod([free_propagator_closed_form(complex(a), complex(b), omega, t)
+                            for a, b, omega in zip(alpha_a, alpha_b, params.omegas)])
+        assert abs(value - expected) < 1e-10
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, t):
