@@ -9,13 +9,16 @@ chain is its energy, a pure phase, plus a zero-diagonal coupling that one
 batched half-size SVD per batch of chains diagonalises.  A
 :class:`ProductState`, a coherent or number state in each mode, gives its
 amplitude on a chain entry as a product of three ladder amplitudes, so
-no d0*d1*d2 vector is built.  The norm, occupations, energy and
-top-level leakage of every sample are reduced inside that chain loop,
-so the (samples, dim) state array is assembled only when a caller reads
-``EvolutionResult.states``.  Any other
-Hermitian H, dense or scipy sparse, is propagated through a full
-eigendecomposition or, for larger or sparse inputs, Krylov evaluation of
-the matrix exponential acting on the state.  Every route satisfies the
+no d0*d1*d2 vector is built.  The lightest chains are not evolved while
+their summed start norm^2 stays within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of
+the state's, so a reduced sum moves by at most that times its largest
+weight, and an amplitude by its square root.  The norm, occupations,
+energy and top-level leakage of every sample are reduced inside that
+chain loop, so the (samples, dim) state array is assembled only when a
+caller reads ``EvolutionResult.states``.  Any other Hermitian H, dense
+or scipy sparse, is propagated through a full eigendecomposition or,
+for larger or sparse inputs, Krylov evaluation of the matrix
+exponential acting on the state.  Every route satisfies the
 same contract: unit norm to 1e-9 and machine-accurate conservation of
 energy and of the three-wave-mixing charges n0+n1, n0+n2, n1-n2.
 """
@@ -56,6 +59,9 @@ LEAKAGE_TOL = 1e-6
 #: chunks.  The largest block of any op in ``perfbench`` is 1.23 MB, so
 #: those run as one chunk.
 CHAIN_BLOCK_BYTES = 4 * 2**20
+
+#: Fraction of a state's norm^2 that its unevolved chains may hold.
+NEGLIGIBLE_WEIGHT = 1e-30
 
 
 @dataclass
@@ -179,7 +185,7 @@ class SectorHamiltonian:
         cuts = np.flatnonzero(np.diff(lengths[order])) + 1
         run = self.run
         for group in np.split(order, cuts):
-            length = lengths[group[0]]
+            length = lengths[group[0]] if group.size else 0
             if length < 1:
                 continue
             for first in range(0, group.size, run):
@@ -217,7 +223,7 @@ class ProductState:
         for label, size in zip(self.modes, (d.d0, d.d1, d.d2), strict=True):
             if isinstance(label, complex) and not cmath.isfinite(label):
                 raise ValueError(f"coherent amplitudes must be finite, got {label!r}")
-            if not isinstance(label, (complex, int, np.integer)):
+            if isinstance(label, bool) or not isinstance(label, (complex, int, np.integer)):
                 raise ValueError("number levels must be integers and coherent "
                                  f"amplitudes complex, got {label!r}")
             if not isinstance(label, complex) and not 0 <= label < size:
@@ -259,15 +265,18 @@ class ProductState:
 
 def _chain_starts(h: SectorHamiltonian, psi0):
     """Yield ``(index, occupations, energy, coupling, start)`` per batch
-    of chains, for the chains on which ``psi0`` does not vanish.
+    of chains, for the chains that carry ``psi0``'s weight.
 
     ``psi0`` is a dense state or a :class:`ProductState`; ``start`` (m, L)
     holds its amplitudes on the m chains of a batch, all of length L.  A
     product state with signal and idler on levels n1, n2 occupies the
     chains (n0+n1, n0+n2) of its nonzero pump amplitudes, taken in runs of
     :attr:`SectorHamiltonian.run` levels whose short chains are joined (see
-    :func:`_joined`).  Any other state is read on every chain with a basis
-    state, whose n1 - n2 lies in [1 - d2, d1 - 1].
+    :func:`_joined`).  Any other state is weighed by its start norm^2 on
+    every chain with a basis state (n1 - n2 in [1 - d2, d1 - 1]); the
+    lightest, weightless first, are dropped while their sum stays within
+    ``NEGLIGIBLE_WEIGHT`` times the state's.  A chain keeps its norm, so
+    a reduced sum moves by at most that times its largest weight.
     """
     d, product = h.dims, isinstance(psi0, ProductState)
     if product and None not in psi0.levels[1:]:
@@ -277,18 +286,22 @@ def _chain_starts(h: SectorHamiltonian, psi0):
             yield from _joined((*batch, psi0.amplitudes(batch[1]))
                                for batch in h.chains(chosen + n1, chosen + n2))
         return
-    width = d.d1 + d.d2 - 1
-    # n0+n1 major; n1 - n2 is offset - (d2 - 1)
-    charge1, offset = np.divmod(np.arange((d.d0 + d.d1 - 1) * width), width)
-    for index, occupations, energy, coupling in h.chains(
-            charge1, charge1 - offset + (d.d2 - 1)):
-        start = psi0.amplitudes(occupations) if product else psi0[index]
-        kept = start.any(axis=1)
-        if kept.all():
-            yield index, occupations, energy, coupling, start
-        elif kept.any():
-            yield tuple(a[..., kept, :] for a in (index, occupations, energy,
-                                                  coupling, start))
+    width = d.d1 + d.d2 - 1  # the band: n0+n1 major, n1 - n2 + d2 - 1 minor
+    if product:  # p1[n1] p2[n2] at (n1, n1 - n2 + d2 - 1), convolved with p0
+        p0, p1, p2 = (abs(c) ** 2 for c in psi0.ladders)
+        n1, n2 = np.ogrid[:d.d1, :d.d2]
+        pair = np.zeros((d.d1, width))
+        pair[n1, n1 - n2 + d.d2 - 1] = np.outer(p1, p2)
+        mass = np.stack([np.convolve(p0, column) for column in pair.T], 1).ravel()
+    else:
+        n0, n1, n2 = np.ogrid[:d.d0, :d.d1, :d.d2]
+        mass = np.bincount(((n0 + n1) * width + n1 - n2 + d.d2 - 1).ravel(),
+                           abs(psi0) ** 2, minlength=(d.d0 + d.d1 - 1) * width)
+    order = np.argsort(mass, kind="stable")
+    light = np.count_nonzero(np.cumsum(mass[order]) <= NEGLIGIBLE_WEIGHT * mass.sum())
+    charge1, offset = np.divmod(np.sort(order[light:]), width)
+    for batch in h.chains(charge1, charge1 - offset + (d.d2 - 1)):
+        yield *batch, psi0.amplitudes(batch[1]) if product else psi0[batch[0]]
 
 
 def _joined(groups: list):
@@ -472,18 +485,20 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
 
     ``h`` is the charge-sector form from :func:`system_hamiltonian`, or a
     dense array or scipy sparse matrix, Hermitian to ``HERMITICITY_TOL``.
-    ``psi0`` is a :class:`ProductState`, evolved on its occupied chains
-    under the charge-sector form of its own ``dims``, or a dense vector,
-    which the oracle tests use.  Per-mode occupations, <H>, the norm and
-    the top-level population on ``dims`` (the leakage; above
-    ``LEAKAGE_TOL`` it attaches a warning) are recorded.  The
-    charge-sector form reduces them chain by chain and assembles the
-    result's ``states`` only if they are read; the other forms compute
-    the states first.  Raises :class:`ValueError` for a negative or
-    non-finite ``t_final`` and :class:`ResourceLimitError` before
-    allocating if the samples would hold more than ``STATE_SAMPLE_CAP``
-    state entries: d0*d1*d2 per sample for a dense state,
-    :attr:`ProductState.entries` for a product state.
+    ``psi0`` is a :class:`ProductState`, under the charge-sector form of
+    its own ``dims``, or a dense vector, which the oracle tests use.
+    Per-mode occupations, <H>, the norm and the top-level population on
+    ``dims`` (the leakage; above ``LEAKAGE_TOL`` it attaches a warning)
+    are recorded.  The charge-sector form reduces them chain by chain,
+    dropping chains within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of the norm^2
+    (:func:`_chain_starts`; each moves by at most 1e-30 times 1, d_j - 1
+    or ||H||), and assembles the result's ``states`` only if they are
+    read; the other forms compute the states first.  Raises
+    :class:`ValueError` for a negative or non-finite ``t_final`` and
+    :class:`ResourceLimitError` before allocating if the samples would
+    hold more than ``STATE_SAMPLE_CAP`` state entries: d0*d1*d2 per
+    sample for a dense state, :attr:`ProductState.entries` for a product
+    state.
     """
     product = isinstance(psi0, ProductState)
     if not product:
