@@ -50,8 +50,6 @@ SWEEPABLE_KEYS = (
 MR_DRIFT_THRESHOLD = 1e-6
 ACTION_CHECK_THRESHOLD = 1e-12
 
-_REQUIRED = object()
-
 _BOOL_VALUES = {"true": True, "false": False}
 
 
@@ -75,9 +73,9 @@ def _parse_scenario(raw: str) -> str:
     return raw
 
 
-#: key -> (caster, default); _REQUIRED defaults are scenario-dependent.
+#: key -> (caster, default).
 _KEY_SPECS: dict = {
-    "scenario": (_parse_scenario, _REQUIRED),
+    "scenario": (_parse_scenario, None),
     "omega0": (_parse_finite, 2.0),
     "omega1": (_parse_finite, 1.0),
     "omega2": (_parse_finite, 1.0),
@@ -168,7 +166,7 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lineno}: cannot parse {key} = {raw_value!r} ({exc})"
                 ) from None
         else:
-            values[key] = None if default is _REQUIRED else default
+            values[key] = default
 
     if values["scenario"] is None:
         raise ConfigError("missing required key 'scenario'")

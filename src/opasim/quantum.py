@@ -9,10 +9,12 @@ chain is its energy, a pure phase, plus a zero-diagonal coupling that one
 batched half-size SVD per batch of chains diagonalises.  A
 :class:`ProductState`, a coherent or number state in each mode, gives its
 amplitude on a chain entry as a product of three ladder amplitudes, so
-no d0*d1*d2 vector is built.  The lightest chains are not evolved while
-their summed start norm^2 stays within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of
-the state's, so a reduced sum moves by at most that times its largest
-weight, and an amplitude by its square root.  The norm, occupations,
+no d0*d1*d2 vector is built.  Of every state, product or dense, the
+lightest chains are not evolved while their summed start norm^2 stays
+within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of the state's, so a reduced sum
+moves by at most that times its largest weight, and an amplitude by its
+square root.  The kept chains are batched by length, two lone chains of
+complementary lengths joined into one row.  The norm, occupations,
 energy and top-level leakage of every sample are reduced inside that
 chain loop, so the (samples, dim) state array is assembled only when a
 caller reads ``EvolutionResult.states``.  Any other Hermitian H, dense
@@ -164,17 +166,21 @@ class SectorHamiltonian:
 
     def chains(self, charge1: np.ndarray, charge2: np.ndarray):
         """Yield ``(index, occupations, energy, coupling)`` per batch of
-        at most :attr:`run` chains of one length L, in their requested order.
+        at most :attr:`run` rows of one length L.
 
         ``charge1`` and ``charge2`` hold the charges n0+n1 and n0+n2 of the
-        requested chains; those without a basis state are skipped.
-        ``index`` (m, L) holds the basis indices of a batch's m chains,
-        ``occupations`` (3, m, L) their n0, n1, n2, ``energy`` (m, L) their
-        energies omega1 (n0+n1) + omega2 (n0+n2) (+ the zero point), from
-        the integer charges and so constant along a chain, and ``coupling``
-        (m, L-1) the magnitudes sqrt(n0 (n1+1) (n2+1)) linking position j-1
-        to j, taken at j.  H is the energy on the diagonal and kappa' times
-        the magnitude at [j-1, j].
+        requested chains; those without a basis state are skipped.  A row
+        is a chain, or two lone chains joined end to end (:func:`_joined`)
+        after the longest chains.  Rows are batched by length, shortest
+        first, a joined batch at the turn of its shortest chain, and keep
+        their requested order.  ``index`` (m, L) holds the basis indices
+        of a batch's m rows, ``occupations`` (3, m, L) their n0, n1, n2,
+        ``energy`` (m, L) their energies omega1 (n0+n1) + omega2 (n0+n2)
+        (+ the zero point), from the integer charges and so constant along
+        a chain, and ``coupling`` (m, L-1) the magnitudes
+        sqrt(n0 (n1+1) (n2+1)) linking position j-1 to j, taken at j, and
+        0 at a seam.  H is the energy on the diagonal and kappa' times the
+        magnitude at [j-1, j].
         """
         p, d = self.params, self.dims
         lowest = np.maximum(np.maximum(0, charge1 - (d.d1 - 1)),
@@ -183,22 +189,36 @@ class SectorHamiltonian:
         lengths = highest - lowest + 1
         order = np.argsort(lengths, kind="stable")
         cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-        run = self.run
-        for group in np.split(order, cuts):
-            length = lengths[group[0]] if group.size else 0
-            if length < 1:
-                continue
-            for first in range(0, group.size, run):
-                chosen = group[first:first + run]
-                n0 = lowest[chosen][:, None] + np.arange(length)
-                n1 = charge1[chosen][:, None] - n0
-                n2 = charge2[chosen][:, None] - n0
-                energy = p.omega1 * (n0 + n1) + p.omega2 * (n0 + n2)
-                if p.include_zero_point:
-                    energy = energy + 0.5 * (p.omega0 + p.omega1 + p.omega2)
-                coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
-                index = (n0 * d.d1 + n1) * d.d2 + n2
-                yield index, np.stack([n0, n1, n2]), energy, coupling
+        groups = {int(lengths[group[0]]): group for group in np.split(order, cuts)
+                  if group.size and lengths[group[0]] > 0}
+        run, steps = self.run, np.arange(max(groups, default=0))
+        # per turn, each batch's row chains and the entries' places in them
+        rows = {length: [(group[first:first + run, None], steps[:length])
+                         for first in range(0, group.size, run)]
+                for length, group in groups.items()}
+        if pairs := _joined(groups):
+            head, tail = np.array(pairs).T[:, :, None]
+            cut, longest = lengths[head], groups[steps.size]
+            for length in [steps.size, *lengths[np.ravel(pairs)].tolist()]:
+                del rows[length]
+            chain = np.concatenate([np.repeat(longest[:, None], steps.size, 1),
+                                    np.where(steps < cut, head, tail)])
+            place = np.concatenate([np.broadcast_to(steps, (longest.size, steps.size)),
+                                    np.where(steps < cut, steps, steps - cut)])
+            rows[int(cut[0, 0])] = [(chain[first:first + run], place[first:first + run])
+                                    for first in range(0, len(chain), run)]
+        for chosen, at in (batch for length in sorted(rows) for batch in rows[length]):
+            n0 = lowest[chosen] + at
+            n1 = charge1[chosen] - n0
+            n2 = charge2[chosen] - n0
+            energy = p.omega1 * (n0 + n1) + p.omega2 * (n0 + n2)
+            if p.include_zero_point:
+                energy = energy + 0.5 * (p.omega0 + p.omega1 + p.omega2)
+            coupling = np.sqrt(n0[:, 1:] * (n1[:, 1:] + 1.0) * (n2[:, 1:] + 1.0))
+            if at.ndim > 1:  # joined rows, with no link at their seams
+                coupling[at[:, 1:] == 0] = 0.0
+            index = (n0 * d.d1 + n1) * d.d2 + n2
+            yield index, np.stack([n0, n1, n2]), energy, coupling
 
 
 @dataclass(frozen=True)
@@ -209,10 +229,10 @@ class ProductState:
     complex) per mode; a real float, a level off its ladder or a
     non-finite amplitude raises :class:`ValueError`.  The amplitude on
     (n0, n1, n2) is c0[n0] (c1[n1] c2[n2]), from :attr:`ladders`, built
-    on first use, after a run's cap is checked.  With signal and idler on
-    one level each (amplitude 0 is level 0) the state occupies one chain
-    per pump level and :attr:`entries`, the entries a sample holds, is
-    about d0*min(d1, d2); otherwise it is d0*d1*d2.
+    on first use, after a run's cap is checked.  :attr:`entries`, the
+    entries a sample may hold, is about d0*min(d1, d2), one chain per pump
+    level, with signal and idler on one level each (amplitude 0 is level
+    0); otherwise it is d0*d1*d2.
     """
 
     modes: tuple
@@ -265,27 +285,19 @@ class ProductState:
 
 def _chain_starts(h: SectorHamiltonian, psi0):
     """Yield ``(index, occupations, energy, coupling, start)`` per batch
-    of chains, for the chains that carry ``psi0``'s weight.
+    of :meth:`SectorHamiltonian.chains`, for the chains that carry
+    ``psi0``'s weight.
 
     ``psi0`` is a dense state or a :class:`ProductState`; ``start`` (m, L)
-    holds its amplitudes on the m chains of a batch, all of length L.  A
-    product state with signal and idler on levels n1, n2 occupies the
-    chains (n0+n1, n0+n2) of its nonzero pump amplitudes, taken in runs of
-    :attr:`SectorHamiltonian.run` levels whose short chains are joined (see
-    :func:`_joined`).  Any other state is weighed by its start norm^2 on
-    every chain with a basis state (n1 - n2 in [1 - d2, d1 - 1]); the
-    lightest, weightless first, are dropped while their sum stays within
-    ``NEGLIGIBLE_WEIGHT`` times the state's.  A chain keeps its norm, so
-    a reduced sum moves by at most that times its largest weight.
+    holds its amplitudes on the m rows of a batch.  Every state is weighed
+    by its start norm^2 on every chain with a basis state
+    (n1 - n2 in [1 - d2, d1 - 1]), a product state from its ladders with
+    no d0*d1*d2 array; the lightest, weightless first, are dropped while
+    their sum stays within ``NEGLIGIBLE_WEIGHT`` times the state's.  A
+    chain keeps its norm, so a reduced sum moves by at most that times its
+    largest weight.
     """
     d, product = h.dims, isinstance(psi0, ProductState)
-    if product and None not in psi0.levels[1:]:
-        _, n1, n2 = psi0.levels
-        pump = np.flatnonzero(psi0.ladders[0])
-        for chosen in np.split(pump, np.arange(h.run, pump.size, h.run)):
-            yield from _joined((*batch, psi0.amplitudes(batch[1]))
-                               for batch in h.chains(chosen + n1, chosen + n2))
-        return
     width = d.d1 + d.d2 - 1  # the band: n0+n1 major, n1 - n2 + d2 - 1 minor
     if product:  # p1[n1] p2[n2] at (n1, n1 - n2 + d2 - 1), convolved with p0
         p0, p1, p2 = (abs(c) ** 2 for c in psi0.ladders)
@@ -304,39 +316,24 @@ def _chain_starts(h: SectorHamiltonian, psi0):
         yield *batch, psi0.amplitudes(batch[1]) if product else psi0[batch[0]]
 
 
-def _joined(groups: list):
-    """The chain groups of one length each, with short chains joined.
+def _joined(groups: dict) -> list:
+    """The pairs of lone chains that :meth:`SectorHamiltonian.chains` joins.
 
-    A chain of length k and one of length L - k, L the longest, make one
-    row of length L with no coupling at the seam, so H leaves them two
-    blocks.  The rows join the group of length L, so that a vacuum-seeded
-    state's d0 chains are evolved in one or two batches, not one per
-    length.  Chains left without a partner keep their group.  A joined
-    row rounds differently from its chains apart, by about one unit in the
-    last place.  The SVD may mix the double zero mode of two odd chains
-    across the seam: harmless, as the chain energies apply per entry.
+    ``groups`` maps each chain length to its chains.  A group of one chain
+    is not worth a batched SVD of its own, so a lone chain of length k and
+    a lone chain of length L - k, L the longest, make one row of length L
+    with no coupling at the seam, which H leaves two blocks.  A
+    vacuum-seeded state's short chains, one per length, are so evolved
+    with its longest ones, not one batch per length.  Returns the pairs
+    (shorter, longer) by ascending k.  A joined row rounds differently
+    from its chains apart, by about one unit in the last place.  The SVD
+    may mix the double zero mode of two odd chains across the seam:
+    harmless, as the chain energies apply per entry.
     """
-    by_length = {group[0].shape[1]: group for group in groups}
-    if not by_length:
-        return
-    longest = max(by_length)
-    rows, rest = [by_length.pop(longest)], []
-    for length in sorted(by_length):
-        group = by_length.pop(length, None)
-        other = by_length.pop(longest - length, None)
-        if group is None or other is None:
-            rest += [g for g in (group, other) if g is not None]
-            continue
-        p = min(len(group[0]), len(other[0]))
-        head = [a[..., :p, :] for a in group]
-        head[3] = np.concatenate([head[3], np.zeros((p, 1))], axis=1)  # the seam
-        rows.append(tuple(np.concatenate([a, b[..., :p, :]], axis=-1)
-                          for a, b in zip(head, other)))
-        rest += [tuple(a[..., p:, :] for a in g) for g in (group, other)
-                 if len(g[0]) > p]
-    yield rows[0] if len(rows) == 1 else tuple(
-        np.concatenate(parts, axis=-2) for parts in zip(*rows))
-    yield from rest
+    longest = max(groups, default=0)
+    lone = {length: group[0] for length, group in groups.items() if group.size == 1}
+    return [(lone[k], lone[longest - k]) for k in sorted(lone)
+            if 2 * k < longest and longest - k in lone]
 
 
 def _bipartite_modes(links: np.ndarray):
@@ -376,9 +373,10 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     whose phase no reduced observable sees.  The rest, the coupling, is
     diagonalised per batch by :func:`_bipartite_modes`, and the phases of
     sample k are the k-th powers of one step's phases.  The sample axis is
-    cut into even chunks whose evolved block stays within
-    ``CHAIN_BLOCK_BYTES``, or holds at most six samples where that is
-    more.  Each chunk continues the running product from the last sample
+    cut into chunks of one size, whose evolved block stays within
+    ``CHAIN_BLOCK_BYTES`` or holds six samples where that is more, so the
+    peak does not grow with the sample count; the last chunk takes the
+    rest.  Each chunk continues the running product from the last sample
     of the chunk before, so the amplitudes do not depend on the cut.
     ``samples`` is the chunk's slice of the sample axis.  ``frame``
     (m, L, 2 n) holds the real and imaginary parts of its n evolved
@@ -393,10 +391,11 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
         eigvals, vectors = _bipartite_modes(magnitude * coupling)
         phases = np.exp(-1j * step * eigvals)[:, :, None]
         carry = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
-        # even chunks of at least three samples: numpy's cumprod multiplies
-        # a two-entry axis in a fused loop that rounds differently
-        n_chunks = -(-n_samples // max(6, CHAIN_BLOCK_BYTES // (16 * m * length)))
-        bounds = [n_samples * k // n_chunks for k in range(n_chunks + 1)]
+        # chunks of one size, whatever the sample count; a later chunk holds
+        # at least two samples, as numpy's cumprod multiplies a two-entry
+        # axis in a fused loop that rounds differently
+        size = max(6, CHAIN_BLOCK_BYTES // (16 * m * length))
+        bounds = [*range(0, max(n_samples - 1, 1), size), n_samples]
         for begin, stop in zip(bounds, bounds[1:]):
             # column 0 is sample 0 in the first chunk and the last sample of
             # the chunk before in later ones, which are yielded without it
@@ -490,10 +489,11 @@ def evolve_state(h, psi0, t_final: float, n_samples: int,
     Per-mode occupations, <H>, the norm and the top-level population on
     ``dims`` (the leakage; above ``LEAKAGE_TOL`` it attaches a warning)
     are recorded.  The charge-sector form reduces them chain by chain,
-    dropping chains within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of the norm^2
-    (:func:`_chain_starts`; each moves by at most 1e-30 times 1, d_j - 1
-    or ||H||), and assembles the result's ``states`` only if they are
-    read; the other forms compute the states first.  Raises
+    for a product and a dense state alike dropping chains within
+    ``NEGLIGIBLE_WEIGHT`` = 1e-30 of the norm^2 (:func:`_chain_starts`;
+    each moves by at most 1e-30 times 1, d_j - 1 or ||H||), and assembles
+    the result's ``states`` only if read; the other forms compute the
+    states first.  Raises
     :class:`ValueError` for a negative or non-finite ``t_final`` and
     :class:`ResourceLimitError` before allocating if the samples would
     hold more than ``STATE_SAMPLE_CAP`` state entries: d0*d1*d2 per
@@ -592,7 +592,8 @@ def fluorescence_from_vacuum(params: ModeParams, dims: TruncationDims,
     The mean-field equations keep vacuum signal and idler at exactly zero,
     so any nonzero <n1>(t), <n2>(t) here is purely quantum seeding.  The
     state is a :class:`ProductState` with signal and idler at level 0, so
-    only its about d0 occupied chains are evolved.
+    it occupies one chain per pump level, and only those that carry its
+    weight are evolved.
     """
     return evolve_state(system_hamiltonian(params, dims),
                         ProductState((complex(params.pump_alpha0), 0, 0), dims),

@@ -622,28 +622,49 @@ class TestChainState:
 
         assert peak(401) - peak(201) < 200 * 2**10
 
-    def test_short_chains_joined_match_one_by_one(self):
-        """A vacuum seed's short chains (lengths 1 to 23 here) are joined
-        end to end into rows of the longest length; the evolved states
-        agree with the dense vector's per-length route to rounding, and
-        so does the leakage with the assembled states' top-level
-        population."""
+    def test_short_chains_joined_match_one_by_one(self, monkeypatch):
+        """A vacuum seed's short chains (lengths 1 to 23 here), one per
+        length, are joined end to end into rows of the longest length,
+        held as a product state or as its dense vector alike.  The evolved
+        states agree with the per-length route, the join taken out, to
+        rounding, and so does the leakage with the assembled states'
+        top-level population."""
         dims = TruncationDims(26, 24, 25)
         params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=self.PHI)
         h = system_hamiltonian(params, dims)
         seed = ProductState((2.5 + 0j, 0, 0), dims)
-        joined = evolve_state(h, seed, 2.0, 11, dims)
-        dense = evolve_state(h, product_coherent_state(2.5, 0, 0, dims), 2.0, 11, dims)
+        vector = product_coherent_state(2.5, 0, 0, dims)
         # lengths 1 + 23, ..., 11 + 13 join the length-24 rows; 12 stays alone
-        assert [start.shape for *_, start in quantum._chain_starts(h, seed)] == [
-            (14, 24), (1, 12)]
-        np.testing.assert_allclose(joined.states, dense.states, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(joined.energies, dense.energies, rtol=1e-15)
+        for psi0 in (seed, vector):
+            assert [start.shape for *_, start in quantum._chain_starts(h, psi0)] == [
+                (14, 24), (1, 12)]
+        joined = evolve_state(h, seed, 2.0, 11, dims)
+        monkeypatch.setattr(quantum, "_joined", lambda groups: [])
+        assert len(list(quantum._chain_starts(h, vector))) == 24
+        one_by_one = evolve_state(h, vector, 2.0, 11, dims)
+        np.testing.assert_allclose(joined.states, one_by_one.states, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(joined.energies, one_by_one.energies, rtol=1e-15)
         assert_top_level_population(joined.leakage, joined.states, dims)
+
+    def test_joined_batches_hold_at_most_run_rows(self, monkeypatch):
+        """With a small block budget the longest chains and the joined
+        rows are cut into batches of at most ``run`` rows; each row is
+        evolved on its own, so the states do not move."""
+        dims = TruncationDims(26, 24, 25)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=self.PHI)
+        h = system_hamiltonian(params, dims)
+        seed = ProductState((2.5 + 0j, 0, 0), dims)
+        whole = evolve_state(h, seed, 2.0, 11, dims)
+        monkeypatch.setattr(quantum, "CHAIN_BLOCK_BYTES", 8 * 24 ** 2 * 5)
+        assert h.run == 5
+        assert [start.shape for *_, start in quantum._chain_starts(h, seed)] == [
+            (5, 24), (5, 24), (4, 24), (1, 12)]
+        cut = evolve_state(h, seed, 2.0, 11, dims)
+        np.testing.assert_allclose(cut.states, whole.states, rtol=0, atol=1e-15)
 
 
 class TestNegligibleChains:
-    """A spread state's band evolves only the chains that carry its weight:
+    """Every state evolves only the chains that carry its weight:
     the lightest are dropped while their summed start norm^2 stays within
     ``quantum.NEGLIGIBLE_WEIGHT`` of the state's.  Set to 0, the bound drops
     only weightless chains, as the reference."""
@@ -652,8 +673,8 @@ class TestNegligibleChains:
     PARAMS = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=0.3)
     LABELS = (3j, 0.3 + 0j, -0.3j)
 
-    def evolved(self, monkeypatch, bound, psi0, dims):
-        """The evolution at ``bound`` and the [chains, entries] it diagonalised."""
+    def evolved(self, monkeypatch, bound, psi0, dims, params=PARAMS):
+        """The evolution at ``bound`` and the [rows, entries] it diagonalised."""
         count, modes = [0, 0], quantum._bipartite_modes
 
         def counted(links):
@@ -664,35 +685,58 @@ class TestNegligibleChains:
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "NEGLIGIBLE_WEIGHT", bound)
             patch.setattr(quantum, "_bipartite_modes", counted)
-            return evolve_state(system_hamiltonian(self.PARAMS, dims), psi0, 2.0, 9,
+            return evolve_state(system_hamiltonian(params, dims), psi0, 2.0, 9,
                                 dims), count
 
-    def test_sums_move_within_the_bound(self, monkeypatch):
-        """At (40,41,39) the reference evolves 4680 chains of 63960 entries;
-        measured, 1210 chains of 23542 entries carry all but 1e-30 of the
-        weight.  A chain keeps its norm, so the norm and leakage move by at
-        most the bound, <n_j> by (d_j - 1) times it and <H> by ||H|| times
-        it, beside round-off; the transition amplitude moves by at most its
-        square root."""
-        d, bound = self.DIMS, quantum.NEGLIGIBLE_WEIGHT
-        state = ProductState(self.LABELS, d)
-        reference, every = self.evolved(monkeypatch, 0.0, state, d)
-        result, kept = self.evolved(monkeypatch, bound, state, d)
-        assert every == [4680, 63960]
-        assert kept[0] < every[0] / 2
-        h_norm = 1.2 * (d.d0 + d.d1) + 0.8 * (d.d0 + d.d2) + 0.2 * np.sqrt(d.total)
+    @staticmethod
+    def assert_within_bound(result, reference, dims, params):
+        """A chain keeps its norm, so the norm and leakage move by at most
+        the bound, <n_j> by (d_j - 1) times it and <H> by ||H|| times it,
+        beside round-off."""
+        d, bound = dims, quantum.NEGLIGIBLE_WEIGHT
+        h_norm = (params.omega1 * (d.d0 + d.d1) + params.omega2 * (d.d0 + d.d2)
+                  + 2 * params.kappa_mag * np.sqrt(d.total))
         for name, weight in (("norm_deviations", 1.0), ("leakage", 1.0),
                              ("expectations", np.array([d.d0, d.d1, d.d2]) - 1.0),
                              ("energies", h_norm)):
             want, got = getattr(reference, name), getattr(result, name)
             assert np.all(np.abs(got - want)
                           <= bound * weight + 1e-14 * max(1.0, np.max(np.abs(want))))
+
+    def test_sums_move_within_the_bound(self, monkeypatch):
+        """At (40,41,39) the reference evolves 4680 chains of 63960 entries;
+        measured, 1210 chains of 23542 entries carry all but 1e-30 of the
+        weight.  The reduced sums move within the bound, and the transition
+        amplitude by at most its square root."""
+        d, bound = self.DIMS, quantum.NEGLIGIBLE_WEIGHT
+        state = ProductState(self.LABELS, d)
+        reference, every = self.evolved(monkeypatch, 0.0, state, d)
+        result, kept = self.evolved(monkeypatch, bound, state, d)
+        assert every == [4680, 63960]
+        assert kept[0] < every[0] / 2
+        self.assert_within_bound(result, reference, d, self.PARAMS)
         amplitudes = []
         for value in (0.0, bound):
             monkeypatch.setattr(quantum, "NEGLIGIBLE_WEIGHT", value)
             amplitudes.append(propagator_exact(self.PARAMS, d, self.LABELS,
                                                (2.9j, 0.3 + 0j, -0.2j), 0.7))
         assert abs(amplitudes[1] - amplitudes[0]) <= np.sqrt(bound) + 1e-15
+
+    def test_vacuum_seed_drops_its_light_pump_levels(self, monkeypatch):
+        """A vacuum-seeded state takes the same rule.  At (621,25,25) with
+        alpha0 = 20 its chains (n0, n0) make 609 rows, the short ones
+        joined; the pump levels far from 400 carry under 1e-30 of the
+        weight (measured: 427 rows are kept), and the sums move within
+        the bound."""
+        dims = TruncationDims(621, 25, 25)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.015, pump_alpha0=20.0)
+        state = ProductState((20.0 + 0j, 0, 0), dims)
+        reference, every = self.evolved(monkeypatch, 0.0, state, dims, params)
+        result, kept = self.evolved(monkeypatch, quantum.NEGLIGIBLE_WEIGHT, state,
+                                    dims, params)
+        assert every == [609, 609 * 25]
+        assert kept[0] < every[0]
+        self.assert_within_bound(result, reference, dims, params)
 
     def test_random_dense_state_loses_no_chain(self, monkeypatch):
         dims = TruncationDims(9, 7, 8)
