@@ -354,6 +354,23 @@ class TestSectorRoute:
                                    np.broadcast_to(np.eye(length), block.shape),
                                    rtol=0, atol=1e-13)
 
+    def test_short_rows_take_the_svd_bits(self):
+        """Rows of one or two positions skip the SVD.  Its singular value
+        of the 1 x 1 block [b] is b, bit for bit, and its singular vectors
+        are +-1, so the closed forms are the SVD's eigenpairs up to a
+        column sign, which cancels exactly in V (V^T x)."""
+        links = np.random.default_rng(2).uniform(0.1, 5.0, size=(6, 1))
+        u, s, vt = np.linalg.svd(links[:, :, None])
+        assert np.array_equal(s, links)
+        assert np.array_equal(np.abs(u), np.ones_like(u))
+        assert np.array_equal(np.abs(vt), np.ones_like(vt))
+        eigvals, vectors = quantum._bipartite_modes(links)
+        assert np.array_equal(eigvals, np.concatenate([s, -s], axis=1))
+        assert np.array_equal(np.abs(vectors), np.full((6, 2, 2), np.sqrt(0.5)))
+        eigvals, vectors = quantum._bipartite_modes(np.zeros((3, 0)))
+        assert np.array_equal(eigvals, np.zeros((3, 1)))
+        assert np.array_equal(vectors, np.ones((3, 1, 1)))
+
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
     def test_chain_energies_reach_only_the_assembled_states(self):
         """The zero point shifts every chain energy by one constant.  The
@@ -674,17 +691,18 @@ class TestNegligibleChains:
     LABELS = (3j, 0.3 + 0j, -0.3j)
 
     def evolved(self, monkeypatch, bound, psi0, dims, params=PARAMS):
-        """The evolution at ``bound`` and the [rows, entries] it diagonalised."""
-        count, modes = [0, 0], quantum._bipartite_modes
+        """The evolution at ``bound`` and the [rows, entries] it evolved."""
+        count, starts = [0, 0], quantum._chain_starts
 
-        def counted(links):
-            count[0] += links.shape[0]
-            count[1] += links.shape[0] * (links.shape[1] + 1)
-            return modes(links)
+        def counted(h, state):
+            for batch in starts(h, state):
+                count[0] += batch[0].shape[0]
+                count[1] += batch[0].size
+                yield batch
 
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "NEGLIGIBLE_WEIGHT", bound)
-            patch.setattr(quantum, "_bipartite_modes", counted)
+            patch.setattr(quantum, "_chain_starts", counted)
             return evolve_state(system_hamiltonian(params, dims), psi0, 2.0, 9,
                                 dims), count
 
@@ -769,6 +787,86 @@ class TestNegligibleChains:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestMirrorTwins:
+    """Swapping signal and idler leaves the coupling unchanged, so a chain
+    and its mirror that start at one pump level share one diagonalisation.
+    Identical rows get identical bits, so sharing moves nothing."""
+
+    PARAMS = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=0.3)
+    LABELS = (1.5 + 0j, 0.3 + 0j, -0.3j)
+
+    def evolved(self, monkeypatch, psi0, dims, share=True):
+        """The evolution, states read, and the rows of more than two
+        positions, which take the SVD, [out of ``_chain_starts``, of them
+        with n1 = n2 at their start, into ``_bipartite_modes``] of its
+        observables."""
+        count = [0, 0, 0]
+        starts, modes = quantum._chain_starts, quantum._bipartite_modes
+
+        def counted_starts(h, state):
+            for batch in starts(h, state):
+                if batch[0].shape[1] > 2:
+                    count[0] += batch[0].shape[0]
+                    count[1] += np.count_nonzero(batch[1][1, :, 0] == batch[1][2, :, 0])
+                yield batch
+
+        def counted_modes(links, twin=slice(None)):
+            count[2] += links.shape[0] if links.shape[1] > 1 else 0
+            return modes(links, twin)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_chain_starts", counted_starts)
+            patch.setattr(quantum, "_bipartite_modes", counted_modes)
+            if not share:
+                patch.setattr(quantum, "_mirror_twins",
+                              lambda occupations, coupling: (slice(None), slice(None)))
+            result = evolve_state(system_hamiltonian(self.PARAMS, dims), psi0, 2.0, 9,
+                                  dims)
+            rows = list(count)
+            result.states
+        return result, rows
+
+    @pytest.mark.parametrize("dims,dense", [
+        (TruncationDims(10, 9, 9), False), (TruncationDims(10, 8, 9), False),
+        (TruncationDims(9, 8, 8), True),
+    ], ids=["coherent-d1-eq-d2", "coherent-d1-ne-d2", "random-dense"])
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_sharing_moves_no_bit(self, monkeypatch, dims, dense):
+        """Every result field and the assembled states are bit for bit
+        those of diagonalising every row on its own."""
+        psi0 = ProductState(self.LABELS, dims)
+        if dense:
+            rng = np.random.default_rng(9)
+            psi0 = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+            psi0 /= np.linalg.norm(psi0)
+        shared, (rows, _, into) = self.evolved(monkeypatch, psi0, dims)
+        apart, (_, _, every) = self.evolved(monkeypatch, psi0, dims, share=False)
+        assert into < every == rows
+        for name in ("times", "expectations", "energies", "norm_deviations", "leakage",
+                     "warnings", "states"):
+            assert np.array_equal(getattr(shared, name), getattr(apart, name)), name
+
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_equal_signal_and_idler_ladders_halve_the_rows(self, monkeypatch):
+        """At d1 = d2 the truncation cuts a chain and its mirror at the same
+        pump levels, so every row but those with n1 = n2 has its twin:
+        measured, 265 rows of more than two positions, of which 17 are
+        their own mirror, diagonalised as 141."""
+        dims = TruncationDims(12, 12, 12)
+        _, (rows, diagonal, into) = self.evolved(
+            monkeypatch, ProductState(self.LABELS, dims), dims)
+        assert (rows, diagonal, into) == (265, 17, 141)
+        assert 2 * into == rows + diagonal
+
+    def test_vacuum_seed_shares_nothing(self, monkeypatch):
+        """Vacuum signal and idler occupy the chains (n0, n0) alone, each
+        its own mirror."""
+        dims = TruncationDims(30, 12, 12)
+        _, (rows, diagonal, into) = self.evolved(
+            monkeypatch, ProductState((2.0 + 0j, 0, 0), dims), dims)
+        assert rows == diagonal == into > 0
 
 
 class TestExpectationNumber:
