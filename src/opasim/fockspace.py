@@ -49,7 +49,7 @@ TRAJECTORY_SAMPLE_CAP = 5_000_000
 #: are streamed, so this bounds run time and the output, not buffers.
 ENSEMBLE_MEMBER_STEP_CAP = 50_000_000
 
-#: Bound on the members of a thermal ensemble; a run holds about 470 bytes
+#: Bound on the members of a thermal ensemble; a run holds about 420 bytes
 #: per member at its peak, whatever its step count.
 ENSEMBLE_MEMBER_CAP = 2_000_000
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +129,53 @@ def rk4_step(a0, a1, a2, dt: float, coeffs):
     return (a0 + w * (k10 + 2 * k20 + 2 * k30 + k40),
             a1 + w * (k11 + 2 * k21 + 2 * k31 + k41),
             a2 + w * (k12 + 2 * k22 + 2 * k32 + k42))
+
+
+def rk4_stepper(n: int, dt: float, coeffs) -> Callable[[np.ndarray], None]:
+    """The in-place form of :func:`rk4_step` for a (3, n) complex array of
+    n trajectories, one row per mode.
+
+    Returns ``step(a)``, which overwrites ``a`` with its RK4 step.  Every
+    entry goes through the elementwise operations of :func:`rk4_step` on
+    one array per mode, in the same order, so the two agree bit for bit;
+    the buffers are allocated here, once.  ``k1 + 2 k2`` is accumulated as
+    soon as ``k2`` exists, so the four slopes share two buffers.
+    """
+    w0, w1, w2, kc, k = coeffs
+    omega = np.array([[w0], [w1], [w2]])
+    h, w = 0.5 * dt, dt / 6.0
+    acc = np.empty((3, n), dtype=complex)    # k1 + 2 k2 + 2 k3 + k4
+    slope = np.empty((3, n), dtype=complex)  # the latest k
+    stage = np.empty((3, n), dtype=complex)  # a + h k: the next rhs input
+    daughters = np.empty((2, n), dtype=complex)
+    tmp = np.empty(n, dtype=complex)
+
+    def rhs(x, out):
+        np.multiply(omega, x, out=out)
+        np.multiply(k, x[0], out=tmp)  # shared leading product k a0
+        np.conjugate(x[2:0:-1], out=daughters)
+        np.multiply(tmp, daughters, out=daughters)
+        np.subtract(out[1:], daughters, out=out[1:])
+        np.multiply(kc, x[1], out=tmp)
+        np.multiply(tmp, x[2], out=tmp)
+        np.subtract(out[0], tmp, out=out[0])
+
+    def step(a):
+        rhs(a, acc)
+        np.multiply(h, acc, out=stage)
+        np.add(a, stage, out=stage)
+        for size in (h, dt):  # k2, then k3
+            rhs(stage, slope)
+            np.multiply(size, slope, out=stage)
+            np.add(a, stage, out=stage)
+            np.multiply(2, slope, out=slope)
+            np.add(acc, slope, out=acc)
+        rhs(stage, slope)  # k4
+        np.add(acc, slope, out=acc)
+        np.multiply(w, acc, out=acc)
+        np.add(a, acc, out=a)
+
+    return step
 
 
 def trajectory_blocks(s0: MeanFieldState, params: ModeParams, t_final: float,

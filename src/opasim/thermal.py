@@ -3,14 +3,16 @@
 Temperatures are in frequency units (k_B = 1).  Boltzmann weighting of the
 oscillator levels implies Bose-Einstein mean occupancy, and the unique
 phase-symmetric amplitude distribution with that occupancy is the isotropic
-complex Gaussian sampled here.  Ensembles are reproducible: every sample
-draws from its own generator, derived from the master seed by counter-mode
-splitting.
+complex Gaussian sampled here.  Ensembles are reproducible: member k draws
+from ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, the k-th child of
+the master seed.  The ensemble hashes those seeds for a block of members at
+once and steps all members in place as one (3, N) array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +24,21 @@ from .fockspace import (
     TRAJECTORY_SAMPLE_CAP,
     ModeParams,
 )
-from .meanfield import DIVERGENCE_LIMIT, num_steps, rhs_coefficients, rk4_step
+from .meanfield import DIVERGENCE_LIMIT, num_steps, rhs_coefficients, rk4_stepper
 
 #: Beyond this value of omega/T the occupancy underflows to zero anyway.
 _EXP_ARG_LIMIT = 700.0
+
+#: Members whose seeds are hashed in one vectorised pass.
+_SEED_BLOCK = 1024
+
+#: numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): the pool
+#: size in 32-bit words and the hash constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 #: Bytes of the two |alpha|^2 chunk buffers of an ensemble; sets how many
 #: steps are reduced at once.
@@ -90,16 +103,124 @@ class EnsembleStats:
     n_failures: int
 
 
-def _child_seed(seed: int, k: int) -> np.random.SeedSequence:
-    """Member k's seed: the k-th child of ``SeedSequence(seed).spawn(...)``,
-    made on its own so that no list of children is held."""
-    return np.random.SeedSequence(seed, spawn_key=(k,))
+def _hashmix(value, hash_const: int):
+    """numpy's ``hashmix`` on a Python int or a uint32 array; returns the
+    mixed value and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
 
 
-def _streamed_moments(a0, a1, a2, steps: int, dt: float, coeffs,
+def _mix(x, y):
+    """numpy's ``mix`` on Python ints or uint32 arrays."""
+    value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _member_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
+    for the members k = start, ..., stop - 1, as one (stop - start, 4) array.
+
+    Member k's seed is the k-th child of ``SeedSequence(seed).spawn(...)``.
+    Its entropy is the seed's 32-bit words, padded with zeros to the
+    4-word pool, followed by the one word k (k < 2**32).  Everything before
+    k is the same for every member and is hashed once on Python ints; k
+    and the state drawn from the pool are hashed on uint32 arrays, one
+    entry per member, where the products wrap as numpy's uint32 ones do.
+    """
+    n = operator.index(seed)
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:] + [np.arange(start, stop, dtype=np.uint32)]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    state = np.empty((stop - start, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _GivenState:
+    """A seed sequence whose state was generated already: PCG64 asks for
+    ``generate_state(4, np.uint64)`` once and gets the given row."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _member_generators(seed: int, start: int, stop: int):
+    """``default_rng(SeedSequence(seed, spawn_key=(k,)))`` for the members
+    k = start, ..., stop - 1, one at a time: each PCG64 is seeded from its
+    row of :func:`_member_states`."""
+    # numpy.random loads here, on first use, not on this module's import
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_GivenState)
+    for state in _member_states(seed, start, stop):
+        yield np.random.Generator(np.random.PCG64(_GivenState(state)))
+
+
+def _seed_members(a: np.ndarray, params: ModeParams,
+                  thermal: ThermalParams) -> None:
+    """Write every member's thermal signal and idler draws into rows 1 and 2
+    of the (3, N) state array ``a``.
+
+    Member k draws exactly as ``sample_thermal_amplitude`` at omega1, then
+    at omega2, with ``default_rng(SeedSequence(seed, spawn_key=(k,)))``:
+    its PCG64 is seeded from the same state, draws the same standard
+    normals z, and ``normal(0.0, scale)`` is ``0.0 + scale * z``.  A mode
+    with zero occupancy takes no draws and stays 0.  Seeds are hashed
+    ``_SEED_BLOCK`` members at a time.
+    """
+    a[1:] = 0.0
+    scales = []  # (row, scale) of each mode that draws
+    for row, omega in ((1, params.omega1), (2, params.omega2)):
+        nbar = mean_occupancy(omega, thermal.temperature)
+        if nbar:
+            scales.append((row, math.sqrt(nbar / 2.0)))
+    if not scales:
+        return
+    n = a.shape[1]
+    normals = np.empty((min(n, _SEED_BLOCK), 2 * len(scales)))
+    for start in range(0, n, _SEED_BLOCK):
+        stop = min(n, start + _SEED_BLOCK)
+        z = normals[:stop - start]
+        for row, rng in zip(z, _member_generators(thermal.seed, start, stop)):
+            rng.standard_normal(out=row)
+        for i, (row, scale) in enumerate(scales):
+            a[row, start:stop].real = 0.0 + scale * z[:, 2 * i]
+            a[row, start:stop].imag = 0.0 + scale * z[:, 2 * i + 1]
+
+
+def _streamed_moments(a: np.ndarray, steps: int, dt: float, coeffs,
                       keep: np.ndarray):
-    """Step every member and reduce |alpha1|^2 and |alpha2|^2 over the
-    members that the boolean mask ``keep`` selects, in chunks of steps.
+    """Step every member of the (3, N) array ``a`` in place and reduce
+    |alpha1|^2 and |alpha2|^2 over the members that the boolean mask
+    ``keep`` selects, in chunks of steps.
 
     Returns the (4, steps + 1) rows mean_n1, var_n1, mean_n2, var_n2 and
     the mask of the members that never diverged.  A chunk holds the rows
@@ -110,7 +231,7 @@ def _streamed_moments(a0, a1, a2, steps: int, dt: float, coeffs,
     A chunk always holds at least two rows: numpy would sum the contiguous
     row of a one-row chunk pairwise.
     """
-    n = a1.size
+    n = a.shape[1]
     ddof = 1 if np.count_nonzero(keep) > 1 else 0
     total = steps + 1
     rows = min(total, max(2, _CHUNK_BYTES // (16 * n)))
@@ -120,20 +241,20 @@ def _streamed_moments(a0, a1, a2, steps: int, dt: float, coeffs,
     out = np.empty((4, total))
     alive = np.ones(n, dtype=bool)
     start = 0
-    m1, m2 = np.abs(a1), np.abs(a2)
+    step = rk4_stepper(n, dt, coeffs)
+    mag = np.abs(a)
     for r in range(total):
         if r:
-            a0, a1, a2 = rk4_step(a0, a1, a2, dt, coeffs)
-            m1, m2 = np.abs(a1), np.abs(a2)
+            step(a)
+            np.abs(a, out=mag)
             # NaN and inf both fail the comparison
-            bad = ~((np.abs(a0) < DIVERGENCE_LIMIT) & (m1 < DIVERGENCE_LIMIT)
-                    & (m2 < DIVERGENCE_LIMIT))
+            bad = ~np.all(mag < DIVERGENCE_LIMIT, axis=0)
             if np.any(bad & alive):
                 alive &= ~bad
-                for a in (a0, a1, a2, m1, m2):
-                    a[bad] = 0.0  # frozen; excluded by the second pass
-        np.square(m1, out=n1[r - start])
-        np.square(m2, out=n2[r - start])
+                a[:, bad] = 0.0  # frozen; excluded by the second pass
+                mag[:, bad] = 0.0
+        np.square(mag[1], out=n1[r - start])
+        np.square(mag[2], out=n2[r - start])
         filled = r + 1 - start
         if r + 1 == total or (filled == rows and total - r - 1 != 1):
             for i, buf in ((0, n1), (2, n2)):
@@ -150,9 +271,11 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
     """Mean-field fluorescence statistics over thermally seeded trajectories.
 
     Every sample starts from (pump_alpha0, thermal draw at omega1, thermal
-    draw at omega2) and is integrated with the same
-    :func:`opasim.meanfield.rk4_step` as
-    :func:`opasim.meanfield.integrate_rk4`, on one array per mode.  The
+    draw at omega2), each draw that of :func:`sample_thermal_amplitude`
+    with the member's own generator (see :func:`_seed_members`).  The
+    members are one (3, n_samples) array, stepped in place by
+    :func:`opasim.meanfield.rk4_stepper`, which agrees bit for bit with
+    :func:`opasim.meanfield.rk4_step` on one array per mode.  The
     statistics are streamed: each step's |alpha|^2 goes into a chunk of
     steps whose size a fixed byte budget sets, and a full chunk is reduced
     at once, so memory is O(n_samples + steps).  Which members diverge is
@@ -184,22 +307,18 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
             f"the cap of {ENSEMBLE_MEMBER_STEP_CAP} member-steps"
         )
 
-    a0 = np.full(n_samples, params.pump_alpha0, dtype=complex)
-    a1 = np.empty(n_samples, dtype=complex)
-    a2 = np.empty(n_samples, dtype=complex)
-    for k in range(n_samples):
-        rng = np.random.default_rng(_child_seed(thermal.seed, k))
-        a1[k] = sample_thermal_amplitude(params.omega1, thermal.temperature, rng)
-        a2[k] = sample_thermal_amplitude(params.omega2, thermal.temperature, rng)
+    a = np.empty((3, n_samples), dtype=complex)
+    a[0] = params.pump_alpha0
+    _seed_members(a, params, thermal)
 
     coeffs = rhs_coefficients(params)
-    moments, alive = _streamed_moments(a0, a1, a2, steps, dt, coeffs,
+    moments, alive = _streamed_moments(a.copy(), steps, dt, coeffs,
                                        np.ones(n_samples, dtype=bool))
     n_failures = int(n_samples - np.count_nonzero(alive))
     if n_failures == n_samples:
         raise DivergenceError("every ensemble member diverged")
     if n_failures:
-        moments, _ = _streamed_moments(a0, a1, a2, steps, dt, coeffs, alive)
+        moments, _ = _streamed_moments(a, steps, dt, coeffs, alive)
 
     mean_n1, var_n1, mean_n2, var_n2 = moments
     return EnsembleStats(

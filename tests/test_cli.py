@@ -1,6 +1,7 @@
 """Configuration parsing, scenario dispatch, CSV contracts and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -297,6 +298,23 @@ class TestScenarios:
         assert header == ["t", "mean_n1", "var_n1", "mean_n2", "var_n2"]
         assert data.shape[0] == 51
 
+    def test_thermal_ensemble_bytes_are_pinned(self, tmp_path):
+        """1100 members span two blocks of seeds, and the 2**40 + 7 seed
+        has two 32-bit words; the digest is that of the CSV written when
+        each member's seed was a ``SeedSequence`` of its own, stepped one
+        array per mode."""
+        text = (
+            "scenario = thermal-ensemble\nomega0 = 2.0\nomega1 = 1.2\n"
+            "omega2 = 0.8\nkappa = 0.01\nalpha0_re = 50.0\n"
+            "temperature = 1.0\nseed = 1099511627783\nn_samples = 1100\n"
+            "t_final = 0.1\ndt = 0.01\n"
+        )
+        assert run(parse_config(text), output_dir=str(tmp_path), quiet=True) == 0
+        digest = hashlib.sha256(
+            (tmp_path / "thermal-ensemble.csv").read_bytes()).hexdigest()
+        assert digest == ("a3d5ce89562d91ebe0924b441dbac6dc"
+                          "3913bb648dffa2e8aff6a63f2af48b70")
+
     def test_sweep_emits_point_files_and_aggregate(self, tmp_path):
         text = MINIMAL_MEANFIELD.replace("scenario = meanfield",
                                          "scenario = sweep")
@@ -376,6 +394,20 @@ def test_cli_runs_every_scenario_without_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """Thermal seeding loads numpy.random when an ensemble is seeded, so
+    the CLI's start-up does not pay for it."""
+    package_root = Path(opasim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, opasim.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestMainExitCodes:

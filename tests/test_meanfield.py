@@ -27,6 +27,7 @@ from opasim.meanfield import (
     num_steps,
     rhs_coefficients,
     rk4_step,
+    rk4_stepper,
     trajectory_blocks,
     undepleted_pump_solution,
 )
@@ -355,3 +356,35 @@ class TestBitIdentity:
                 -1j * PARAMS.omega1 * s.alpha1 - 1j * kp * s.alpha0 * s.alpha2.conjugate(),
                 -1j * PARAMS.omega2 * s.alpha2 - 1j * kp * s.alpha0 * s.alpha1.conjugate())
         assert _rhs(*s.as_tuple(), rhs_coefficients(PARAMS)) == want
+
+
+class TestInPlaceStepper:
+    """The in-place (3, N) step and :func:`rk4_step` on one array per mode
+    are the same elementwise operations in the same order."""
+
+    def test_matches_rk4_step_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        n = 40
+        a = (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))) * 3.0
+        a[:, 0] = 0.0  # a frozen member: zero is a fixed point
+        a[1:, 1] = -0.0  # the pump-only fixed point, daughters at signed zero
+        a[:, 2] = 1e154  # overflows to inf within a step, then to nan
+        a[1, 3] = np.inf
+        a[2, 4] = complex(np.nan, 1.0)
+        a[0, 5] = 1e120j
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.7, phi=1.1)
+        coeffs = rhs_coefficients(params)
+        dt = 0.02
+        got = a.copy()
+        want = tuple(a.copy())
+        step = rk4_stepper(n, dt, coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(200):
+                step(got)
+                want = rk4_step(*want, dt, coeffs)
+        want = np.array(want)
+        assert np.isnan(got[:, 2]).all() and np.isnan(got[:, 3]).any()
+        assert np.isfinite(got[:, 6:]).all()
+        # raw bits: signed zeros and nan payloads agree too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got[:, 0], np.zeros(3))

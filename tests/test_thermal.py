@@ -206,7 +206,7 @@ class TestFluorescenceEnsemble:
         def no_seeding(*args):
             raise AssertionError("a member was seeded")
 
-        monkeypatch.setattr(thermal_module, "_child_seed", no_seeding)
+        monkeypatch.setattr(thermal_module, "_member_states", no_seeding)
         dt = 0.01
         with pytest.raises(ResourceLimitError, match="samples per trajectory"):
             fluorescence_ensemble(PARAMS, ThermalParams(1.0),
@@ -214,10 +214,9 @@ class TestFluorescenceEnsemble:
 
     def test_lazy_children_equal_spawned_list(self):
         seed, n = 1234, 50
-        for k, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
-            lazy = thermal_module._child_seed(seed, k)
-            assert lazy.spawn_key == child.spawn_key
-            assert np.array_equal(lazy.generate_state(8), child.generate_state(8))
+        states = thermal_module._member_states(seed, 0, n)
+        for state, child in zip(states, np.random.SeedSequence(seed).spawn(n)):
+            assert np.array_equal(state, child.generate_state(4, np.uint64))
 
     def test_peak_memory_does_not_grow_with_steps(self):
         """Past one chunk of steps, only the (4, steps + 1) statistics and
@@ -249,6 +248,65 @@ class TestFluorescenceEnsemble:
     def test_rejects_non_finite_times(self, t_final, dt, name):
         with pytest.raises(ValueError, match=f"^{name} "):
             fluorescence_ensemble(PARAMS, ThermalParams(1.0), t_final, dt, 4)
+
+
+def spawned_rng(seed, k):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+class TestSeeding:
+    """Member seeds hashed block by block reproduce numpy's SeedSequence
+    children, and the members draw from them as ``default_rng`` does."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+        # five 32-bit words: the run entropy is longer than the pool
+        2 ** 130 + 1,
+    ])
+    def test_states_and_draws_equal_spawned_children(self, seed):
+        block = thermal_module._SEED_BLOCK
+        start, stop = block - 3, block + 3  # across the first seam
+        states = thermal_module._member_states(seed, start, stop)
+        assert states.shape == (stop - start, 4) and states.dtype == np.uint64
+        rngs = thermal_module._member_generators(seed, start, stop)
+        for k, state, rng in zip(range(start, stop), states, rngs, strict=True):
+            child = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert np.array_equal(state, child.generate_state(4, np.uint64))
+            assert np.array_equal(rng.standard_normal(4),
+                                  spawned_rng(seed, k).standard_normal(4))
+
+    @pytest.mark.parametrize("temperature", [0.7, 0.0])
+    def test_members_draw_as_sample_thermal_amplitude(self, monkeypatch,
+                                                      temperature):
+        monkeypatch.setattr(thermal_module, "_SEED_BLOCK", 7)
+        thermal = ThermalParams(temperature, seed=2 ** 40 + 7)
+        n = 23  # three seams and a short last block
+        a = np.full((3, n), np.nan, dtype=complex)
+        thermal_module._seed_members(a, PARAMS, thermal)
+        for k in range(n):
+            rng = spawned_rng(thermal.seed, k)
+            want = [sample_thermal_amplitude(w, temperature, rng)
+                    for w in (PARAMS.omega1, PARAMS.omega2)]
+            assert np.array_equal(a[1:, k].copy().view(np.uint64),
+                                  np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("cold", [1, 2])
+    def test_a_cold_mode_takes_no_draws(self, cold):
+        """omega/T > 700 leaves a mode's occupancy at zero: it stays 0 and
+        the warm mode takes the first two normals of the stream."""
+        omegas = (1.0, 800.0) if cold == 2 else (800.0, 1.0)
+        params = ModeParams(sum(omegas), *omegas, kappa_mag=0.005,
+                            pump_alpha0=100.0)
+        thermal = ThermalParams(1.0, seed=19)
+        n = 5
+        a = np.empty((3, n), dtype=complex)
+        thermal_module._seed_members(a, params, thermal)
+        warm = 3 - cold
+        scale = math.sqrt(mean_occupancy(1.0, 1.0) / 2.0)
+        for k in range(n):
+            z = spawned_rng(thermal.seed, k).standard_normal(2)
+            assert a[cold, k] == 0.0
+            assert a[warm, k] == complex(0.0 + scale * z[0], 0.0 + scale * z[1])
 
 
 def batched_reference(params, thermal, t_final, dt, n_samples):
@@ -314,7 +372,10 @@ class TestBitIdentity:
         (DEPLETING, ThermalParams(0.7, seed=5), 3.0, 0.01, 33),
         # the partially divergent case of test_partial_divergence_excluded_and_counted
         (DIVERGING, ThermalParams(1.5, seed=14), 4.0, 0.06, 64),
-    ], ids=["stable", "stable-depleting", "partially-divergent"])
+        # more members than one block of seeds, with a multi-word seed
+        (PARAMS, ThermalParams(1.0, seed=2 ** 40 + 7), 0.05, 0.01, 1500),
+    ], ids=["stable", "stable-depleting", "partially-divergent",
+            "members-span-seeding-blocks"])
     def test_matches_batched_reference(self, params, thermal, t_final, dt, n):
         stats = fluorescence_ensemble(params, thermal, t_final, dt, n)
         failures, _, *moments = batched_reference(params, thermal, t_final, dt, n)
