@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -266,32 +267,263 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-#: Rows rendered by one %-format call.  On a 2-CPU x86 host, a
-#: 2·10^5-step `meanfield` run was no faster at 4096 rows and peaked
-#: 4.5 MB higher; at 64 rows it was about 15% slower.
+#: Rows rendered as one part.  On a 2-CPU x86 host, a 2·10^5-step
+#: `meanfield` run was no faster at 4096 rows and peaked 4.5 MB higher;
+#: at 64 rows it was about 15% slower.
 CSV_FORMAT_ROWS = 512
+
+#: Parts of fewer fields go straight to the ``%`` line.  On a 2-CPU x86
+#: host the renderer's fixed cost, about 40 µs, exceeded what it saved
+#: below about 250 fields.
+_RENDER_MIN_FIELDS = 256
+
+#: Magnitudes the renderer takes.  Their decimal exponents stay inside its
+#: table of powers of ten, and its exact products neither overflow nor
+#: lose bits to underflow.
+_RENDER_MIN_ABS, _RENDER_MAX_ABS = 1e-280, 1e280
+#: The exponents k = floor(log10|x|) those magnitudes can take, one step
+#: of correction included.
+_K_MIN, _K_MAX = -282, 281
+#: Veltkamp's splitting constant 2^27 + 1 for Dekker's exact product.
+_SPLIT = 134217729.0
+#: How near a rounding tie the scaled value may come.  Its error is far
+#: below 2^-40 of a unit in the 17th digit.
+_TIE_MARGIN = 2.0 ** -30
+#: A field's bytes are picked from a 28-byte source row: digits 1-16 as
+#: four groups of four (bytes 0-15), digit 0, '-', '.', '0', 'e', '+', a
+#: filler byte 0, one unused byte, three exponent digits and the field's
+#: separator.  A template row lists the source bytes of one layout,
+#: padded with the filler to the longest field, '-d.dddddddddddddddde-ddd,'.
+_DIGIT_AT = (16, *range(16))
+_MINUS, _POINT, _ZERO, _E, _PLUS, _FILLER = range(17, 23)
+_EXPONENT_AT, _SEPARATOR = (24, 25, 26), 27
+_SOURCE_BYTES, _FIELD_BYTES = 28, 25
+#: Layouts: %f with decimal exponent X = -4..16 (form X + 4); %e with
+#: X >= 0 or X < 0 and two or three exponent digits (forms 21-24); zero.
+_FORMS = 26
+#: Fields picked per gather; their index array takes 200 bytes a field.
+_GATHER_FIELDS = 1024
+
+
+@functools.cache
+def _render_tables() -> tuple:
+    """The renderer's tables, built on its first use so that importing the
+    CLI does not pay for them.
+
+    - 10^(16 - k) for k in [_K_MIN, _K_MAX] as hi + lo: hi correctly
+      rounded, split into Veltkamp halves hi_top + hi_low, and lo the
+      correctly rounded rest, both from exact integer ratios;
+    - the four ASCII digits of every group 0..9999 as a little-endian
+      word, and each group's trailing zeros (4 for 0);
+    - three exponent digits and a ',' or '\\n' separator as one word;
+    - the byte templates, one per (sign, form, significant digits).
+    """
+    powers = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        t = hi * _SPLIT
+        hi_top = t - (t - hi)
+        powers.append((hi, hi_top, hi - hi_top, (num * d - m * den) / (den * d)))
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # 0000-9999
+    ascii_groups = np.ascontiguousarray(digits + 48).view("<u4").ravel()
+    trailing_zeros = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.int8).sum(
+        axis=1, dtype=np.int8)
+    exponent_words = np.empty((300, 2, 4), np.uint8)  # 000-299
+    exponent_words[:, :, :3] = (np.indices((3, 10, 10), dtype=np.uint8).reshape(3, -1).T
+                                + 48)[:, None]
+    exponent_words[:, :, 3] = np.frombuffer(b",\n", np.uint8)
+    templates = np.full((2, _FORMS, 17, _FIELD_BYTES), _FILLER, np.uint8)
+    for form in range(_FORMS):
+        for shown in range(1, 18):  # significant digits after stripping
+            if 4 <= form <= 20:  # %f, X >= 0
+                body = list(_DIGIT_AT[:form - 3])
+                if shown > form - 3:
+                    body += [_POINT, *_DIGIT_AT[form - 3:shown]]
+            elif form < 4:  # %f, X = -4..-1: '0.' and -X-1 zeros
+                body = [_ZERO, _POINT] + [_ZERO] * (3 - form) + list(_DIGIT_AT[:shown])
+            elif form < 25:  # %e
+                body = [_DIGIT_AT[0]]
+                if shown > 1:
+                    body += [_POINT, *_DIGIT_AT[1:shown]]
+                negative, three = divmod(form - 21, 2)
+                body += [_E, _MINUS if negative else _PLUS, *_EXPONENT_AT[1 - three:]]
+            else:
+                body = [_ZERO]
+            for sign in (0, 1):
+                row = [_MINUS] * sign + body + [_SEPARATOR]
+                templates[sign, form, shown - 1, :len(row)] = row
+    return (np.array(powers).T.copy(), ascii_groups, trailing_zeros,
+            exponent_words.view("<u4").ravel(), templates.reshape(-1, _FIELD_BYTES))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, powers: np.ndarray):
+    """D = round(V) for V = a * 10^(16 - k), as upper * 10^8 + lower with
+    both exact float64 integers, and each V - D.
+
+    V is Dekker's exact TwoProduct of a and hi, plus a * lo; its error is
+    below 2^-100 V.  Where 10^16 <= D <= 10^17 the product's high part is
+    an integer (its ulp is at least 2), so D is it plus the rounded rest.
+    """
+    hi, hi_top, hi_low, lo = powers.take((k - _K_MIN).astype(np.intp), axis=1)
+    high = a * hi
+    a_top = a * _SPLIT
+    a_top -= a_top - a
+    a_low = a - a_top
+    rest = a_top * hi_top
+    rest -= high
+    rest += a_top * hi_low
+    rest += a_low * hi_top
+    rest += a_low * hi_low
+    rest += a * lo
+    rounded = np.rint(rest)
+    rest -= rounded
+    # exact: 10^8 * upper has at most 50 bits, and the difference is an
+    # integer below 2^53; both floors divide integers below 2^53
+    upper = np.floor(high * 1e-8)
+    lower = high - upper * 1e8
+    lower += rounded
+    carry = np.floor(lower / 1e8)
+    upper += carry
+    lower -= carry * 1e8
+    return upper, lower, rest
+
+
+def _outside_17_digits(upper: np.ndarray, lower: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Where V = D + rest, D = upper * 10^8 + lower, lies below 10^16 or D
+    above 10^17.  V just below 10^16 rounds to D = 10^16 but has its 17
+    digits one exponent lower; D = 10^17 is V's own rounding carry."""
+    return ((upper < 1e8) | ((upper == 1e8) & (lower == 0) & (rest < 0))
+            | (upper > 1e9) | ((upper == 1e9) & (lower > 0)))
+
+
+def _significant_digits(x: np.ndarray, powers: np.ndarray):
+    """The 17 significant digits of each float64 field of ``x``, as its
+    first digit (float64) and four groups of four digits (intp), and its
+    decimal exponent X (float64); or None where a field is non-finite,
+    outside [1e-280, 1e280) and not zero, or within _TIE_MARGIN of a
+    rounding tie (CPython breaks ties half-even).  Zeros read as 1.
+
+    The digits D and X follow from k = floor(log10|x|), set right by one
+    step where D falls outside [10^16, 10^17]; D = 10^17 carries into X.
+    """
+    a = np.abs(x)
+    a[a == 0] = 1.0  # zeros come from their template alone
+    # NaN fails both comparisons, infinity the second
+    if not np.all((a >= _RENDER_MIN_ABS) & (a < _RENDER_MAX_ABS)):
+        return None
+    k = np.floor(np.log10(a))
+    upper, lower, rest = _scaled(a, k, powers)
+    wrong = _outside_17_digits(upper, lower, rest)
+    if wrong.any():
+        redo = np.flatnonzero(wrong)
+        k[redo] += np.where(upper[redo] <= 1e8, -1.0, 1.0)
+        upper[redo], lower[redo], rest[redo] = _scaled(a[redo], k[redo], powers)
+        if _outside_17_digits(upper[redo], lower[redo], rest[redo]).any():
+            return None
+    if np.abs(rest).max(initial=0.0) > 0.5 - _TIE_MARGIN:
+        return None
+    ten_to_17 = upper == 1e9
+    upper[ten_to_17] = 1e8
+    k += ten_to_17
+    first = np.floor(upper / 1e8)
+    upper -= first * 1e8
+    groups = np.empty((len(x), 4), np.intp)  # digits 1-4, 5-8, 9-12, 13-16
+    for column, half in ((0, upper), (2, lower)):
+        high_four = np.floor(half / 1e4)
+        groups[:, column] = high_four
+        groups[:, column + 1] = half - high_four * 1e4
+    return first, groups, k
+
+
+def _field_sources(x: np.ndarray, columns: int,
+                   tables: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each field's source row and its row index in the template table,
+    for the float64 fields ``x`` of a part with ``columns`` columns; or
+    None where ``_significant_digits`` declines a field."""
+    powers, ascii_groups, trailing_zeros, exponent_words, _ = tables
+    digits = _significant_digits(x, powers)
+    if digits is None:
+        return None
+    first, groups, k = digits
+    zeros = trailing_zeros.take(groups)
+    whole = zeros == 4
+    trailing = zeros[:, 3] + whole[:, 3] * (
+        zeros[:, 2] + whole[:, 2] * (zeros[:, 1] + whole[:, 1] * zeros[:, 0]))
+    source = np.empty((len(x), _SOURCE_BYTES), np.uint8)
+    words = source.view("<u4")
+    words[:, :4] = ascii_groups.take(groups)
+    words[:, 4] = first.astype(np.uint32) + int.from_bytes(b"0-.0", "little")
+    words[:, 5] = int.from_bytes(b"e+\0\0", "little")
+    exponent = np.abs(k).astype(np.intp)
+    separator = exponent * 2
+    separator.reshape(-1, columns)[:, -1] += 1
+    words[:, 6] = exponent_words.take(separator)
+    form = np.where((k >= -4) & (k < 17), k + 4,
+                    21 + (exponent >= 100) + 2 * (k < 0)).astype(np.intp)
+    form[x == 0] = _FORMS - 1
+    return source, (np.signbit(x) * _FORMS + form) * 17 + (16 - trailing)
+
+
+def _render_part(part: np.ndarray) -> bytes | None:
+    """The bytes of ``(row_format * rows) % tuple(part.ravel().tolist())``
+    for a 2-D part, with row_format ``%.17g`` fields joined by ',' and
+    ended by '\\n', rendered in numpy; or None where
+    ``_significant_digits`` declines a field or the dtype is not a float,
+    int or uint of at most 8 bytes.
+
+    The layout is CPython's %g: %e iff X < -4 or X >= 17, with a sign and
+    at least two exponent digits; trailing zeros and a bare '.' stripped;
+    -0 kept.  Fields are picked from their source rows
+    ``_GATHER_FIELDS`` at a time, which bounds the index array.
+    """
+    if part.dtype.kind not in "fiu" or part.dtype.itemsize > 8:
+        return None
+    tables = _render_tables()
+    fields = _field_sources(np.asarray(part, dtype=np.float64).ravel(),
+                            part.shape[1], tables)
+    if fields is None:
+        return None
+    source, layout = fields
+    bases = np.arange(0, _GATHER_FIELDS * _SOURCE_BYTES, _SOURCE_BYTES)[:, None]
+    text = []
+    for lo in range(0, len(layout), _GATHER_FIELDS):
+        keys = layout[lo:lo + _GATHER_FIELDS]
+        picks = np.add(bases[:len(keys)], tables[-1].take(keys, axis=0))
+        chunk = source[lo:lo + _GATHER_FIELDS].ravel().take(picks)
+        text.append(chunk.tobytes().translate(None, b"\0"))
+    return b"".join(text)
 
 
 def write_csv_atomic(path: Path, header: list[str], blocks) -> int:
     """Write a CSV (LF newlines, UTF-8, no BOM) via temp file + rename.
 
-    ``blocks`` yields 2-D float arrays of rows, one column per header
-    field; each field is written as ``%.17g``, and blocks are written as
-    they are drawn.  The temp file lives in the target directory (rename
-    stays atomic) with a unique name, and is removed if the write fails
-    partway.  Returns the number of rows.
+    ``blocks`` yields 2-D arrays of rows, one column per header field, and
+    blocks are written as they are drawn.  Every field is written as
+    CPython's ``%.17g`` of its float: each block is cut into parts of at
+    most ``CSV_FORMAT_ROWS`` rows, and ``_render_part`` renders a part of
+    at least ``_RENDER_MIN_FIELDS`` fields in numpy; a part it declines,
+    or a smaller one, goes through one ``%``-format call.  The temp file
+    lives in the target directory (rename stays atomic) with a unique
+    name, and is removed if the write fails partway.  Returns the number
+    of rows.
     """
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                     dir=path.parent or None)
     count = 0
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
             for block in blocks:
                 for lo in range(0, len(block), CSV_FORMAT_ROWS):
                     part = block[lo:lo + CSV_FORMAT_ROWS]
-                    fh.write((row_format * len(part)) % tuple(part.ravel().tolist()))
+                    text = _render_part(part) if part.size >= _RENDER_MIN_FIELDS else None
+                    if text is None:
+                        text = ((row_format * len(part))
+                                % tuple(part.ravel().tolist())).encode("ascii")
+                    fh.write(text)
                 count += len(block)
         os.replace(tmp_name, path)
     except BaseException:

@@ -3,11 +3,14 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +413,21 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_render_table():
+    """The renderer builds its tables on first use: importing the CLI
+    loads neither fractions nor decimal and builds no table."""
+    package_root = Path(opasim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, opasim.cli; print([m for m in ('fractions', 'decimal') "
+         "if m in sys.modules], opasim.cli._render_tables.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] 0"
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.cfg", MINIMAL_MEANFIELD)
@@ -749,6 +767,119 @@ class TestWriteCsvAtomic:
         with pytest.raises(RuntimeError):
             write_csv_atomic(tmp_path / "x.csv", ["x"], blocks())
         assert not list(tmp_path.iterdir())
+
+
+def _percent_text(part) -> bytes:
+    """A part's rows as one %-format call renders them."""
+    row_format = ",".join(["%.17g"] * part.shape[1]) + "\n"
+    return ((row_format * len(part)) % tuple(part.ravel().tolist())).encode("ascii")
+
+
+def _declined(value: float) -> bool:
+    """Whether the renderer must leave a field to the %-format call: it is
+    not finite, lies outside [1e-280, 1e280) and is not zero, or its exact
+    decimal value lies within 2^-30 of a tie at 17 significant digits."""
+    if value == 0:
+        return False
+    if not cli._RENDER_MIN_ABS <= abs(value) < cli._RENDER_MAX_ABS:
+        return True
+    exact = Decimal(abs(value))
+    with localcontext(prec=1000):  # a double has at most 767 digits
+        scaled = exact.scaleb(16 - exact.adjusted())
+        half = abs(scaled - scaled.to_integral_value(rounding=ROUND_FLOOR) - Decimal("0.5"))
+        return half < Decimal(2) ** -30
+
+
+#: Fields the renderer leaves to the %-format call, and a few it takes.
+_SPECIAL_FIELDS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                   float("inf"), float("-inf"), float("nan"), 1e280, 1e-280,
+                   123456789012345.125, 1e16, 1e17, 1e-5, 1e-4]
+
+
+@st.composite
+def _float_blocks(draw):
+    """Float64 blocks up to 600 x 13, so a block can cross a part seam:
+    normal deviates scaled by 10^j for j drawn up to +-spread, with a few
+    fields overwritten by any float or a special one."""
+    rows, cols = draw(st.integers(1, 600)), draw(st.integers(1, 13))
+    spread = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+        -spread, spread + 1, (rows, cols))
+    for _ in range(draw(st.integers(0, 6))):
+        block[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(
+            st.one_of(st.floats(width=64), st.sampled_from(_SPECIAL_FIELDS)))
+    return block
+
+
+class TestRenderPart:
+    """The numpy renderer against CPython's %.17g, byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(block=_float_blocks())
+    def test_writer_and_renderer_match_percent_format(self, block):
+        """The written CSV equals the %-format text.  The renderer renders
+        each part exactly so, or declines it only for a declined field;
+        with those fields set to 0.5, it renders the part."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "block.csv"
+            header = [f"c{j}" for j in range(block.shape[1])]
+            assert write_csv_atomic(path, header, [block]) == len(block)
+            assert path.read_bytes() == (",".join(header) + "\n").encode() + _percent_text(block)
+        for lo in range(0, len(block), cli.CSV_FORMAT_ROWS):
+            part = block[lo:lo + cli.CSV_FORMAT_ROWS]
+            declined = np.reshape([_declined(v) for v in part.ravel().tolist()], part.shape)
+            text = cli._render_part(part)
+            if text is None:
+                assert declined.any()
+            else:
+                assert text == _percent_text(part)
+            kept = np.where(declined, 0.5, part)
+            assert cli._render_part(kept) == _percent_text(kept)
+
+    def test_edge_fields(self):
+        """Powers of ten and their neighbours over every double exponent,
+        the %f/%e switch points, 17-digit roundings that carry into the
+        exponent, a true tie and the integers of the convergence table."""
+        powers = [float(f"1e{p}") for p in range(-330, 310)]
+        edges = powers + [np.nextafter(x, d) for x in powers for d in (0.0, np.inf)]
+        # these doubles lie below their power of ten but print as it
+        for carry in (1e-14, 1e98):
+            assert Fraction(carry) < Fraction(10) ** round(math.log10(carry))
+            assert "%.17g" % carry in ("1e-14", "1e+98")
+        edges += [-x for x in edges]
+        rendered = 0
+        for x in edges:
+            part = np.array([[x, 0.5], [-x, x]])
+            text = cli._render_part(part)
+            if text is None:
+                assert _declined(x)
+            else:
+                assert text == _percent_text(part)
+                rendered += 1
+        assert rendered > len(edges) * 3 // 4
+        # 123456789012345.125 is a tie, broken half-even: the part falls back
+        tie = np.array([[123456789012345.125, 1.0]])
+        assert cli._render_part(tie) is None and _percent_text(tie) == b"123456789012345.12,1\n"
+        n = np.arange(64, 2 ** 17 + 1, dtype=float).reshape(-1, 1)
+        for lo in range(0, len(n), cli.CSV_FORMAT_ROWS):
+            part = n[lo:lo + cli.CSV_FORMAT_ROWS]
+            assert cli._render_part(part) == _percent_text(part)
+
+    def test_long_meanfield_run_matches_percent_format(self, tmp_path):
+        """A CLI meanfield run of 5001 rows crosses several trajectory
+        blocks and parts; its bytes are the %-format text of its columns."""
+        text = MINIMAL_MEANFIELD.replace("t_final = 1.0", "t_final = 5.0").replace(
+            "dt = 0.01", "dt = 0.001")
+        assert main([str(_write(tmp_path, "run.cfg", text)), "--output-dir",
+                     str(tmp_path), "--quiet"]) == 0
+        config = parse_config(text)
+        samples = integrate_rk4(cli._initial_state(config), config.params, 5.0, 0.001).samples
+        cols = cli._meanfield_columns(samples, 0, 0.001)
+        assert len(cols) == 5001
+        assert cli._render_part(cols[:cli.CSV_FORMAT_ROWS]) is not None
+        header = b"t,re_a0,im_a0,re_a1,im_a1,re_a2,im_a2,n0,n1,n2,mr1,mr2,mr3\n"
+        assert (tmp_path / "meanfield.csv").read_bytes() == header + _percent_text(cols)
 
 
 def _per_row_meanfield_csv(samples, dt):
