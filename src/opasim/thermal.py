@@ -6,7 +6,8 @@ phase-symmetric amplitude distribution with that occupancy is the isotropic
 complex Gaussian sampled here.  Ensembles are reproducible: member k draws
 from ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, the k-th child of
 the master seed.  The ensemble hashes those seeds for a block of members at
-once and steps all members in place as one (3, N) array.
+once, steps all members in place as one (3, N) array and reduces each
+step's statistics over the members as soon as the step is taken.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-#: Bytes of the two |alpha|^2 chunk buffers of an ensemble; sets how many
-#: steps are reduced at once.
-_CHUNK_BYTES = 4 * 2 ** 20
-
-
 @dataclass(frozen=True)
 class ThermalParams:
     """Bath temperature (k_B = 1) and master RNG seed."""
@@ -56,6 +52,8 @@ class ThermalParams:
         if not (self.temperature >= 0 and math.isfinite(self.temperature)):
             raise ValueError(f"temperature must be finite and >= 0, "
                              f"got {self.temperature}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -220,30 +218,28 @@ def _streamed_moments(a: np.ndarray, steps: int, dt: float, coeffs,
                       keep: np.ndarray):
     """Step every member of the (3, N) array ``a`` in place and reduce
     |alpha1|^2 and |alpha2|^2 over the members that the boolean mask
-    ``keep`` selects, in chunks of steps.
+    ``keep`` selects, one step at a time.
 
     Returns the (4, steps + 1) rows mean_n1, var_n1, mean_n2, var_n2 and
-    the mask of the members that never diverged.  A chunk holds the rows
-    of several steps, and its masked copy ``chunk[:, keep]``, which numpy
-    lays out F-ordered, is reduced by ``mean``/``var`` along the members:
-    every step's members are summed one after another in member order,
-    exactly as for the masked copy of a full (steps + 1, members) buffer.
-    A chunk always holds at least two rows: numpy would sum the contiguous
-    row of a one-row chunk pairwise.
+    the mask of the members that never diverged.  Each step's mean and
+    variance are numpy's two-pass ones: the sum, then the sum of squared
+    deviations from the mean.  ``np.add.accumulate`` (``cumsum``) adds the
+    members strictly one after another, the order in which ``mean`` and
+    ``var`` reduce the members of the masked copy of a full
+    (steps + 1, members) buffer, so the two agree bit for bit.  ``np.sum``
+    of one contiguous row would add pairwise and round differently.
     """
     n = a.shape[1]
-    ddof = 1 if np.count_nonzero(keep) > 1 else 0
-    total = steps + 1
-    rows = min(total, max(2, _CHUNK_BYTES // (16 * n)))
-    # one spare row takes a one-row tail into the chunk before it
-    n1 = np.empty((rows + 1, n))
-    n2 = np.empty((rows + 1, n))
-    out = np.empty((4, total))
+    count = int(np.count_nonzero(keep))
+    ddof = 1 if count > 1 else 0
+    out = np.empty((4, steps + 1))
     alive = np.ones(n, dtype=bool)
-    start = 0
     step = rk4_stepper(n, dt, coeffs)
     mag = np.abs(a)
-    for r in range(total):
+    squares = np.empty(n)
+    sums = np.empty(count)
+    reduced = ((0, mag[1]), (2, mag[2]))  # out row of each mean, |alpha|
+    for r in range(steps + 1):
         if r:
             step(a)
             np.abs(a, out=mag)
@@ -253,15 +249,15 @@ def _streamed_moments(a: np.ndarray, steps: int, dt: float, coeffs,
                 alive &= ~bad
                 a[:, bad] = 0.0  # frozen; excluded by the second pass
                 mag[:, bad] = 0.0
-        np.square(mag[1], out=n1[r - start])
-        np.square(mag[2], out=n2[r - start])
-        filled = r + 1 - start
-        if r + 1 == total or (filled == rows and total - r - 1 != 1):
-            for i, buf in ((0, n1), (2, n2)):
-                chunk = buf[:filled, keep]
-                out[i, start:r + 1] = chunk.mean(axis=1)
-                out[i + 1, start:r + 1] = chunk.var(axis=1, ddof=ddof)
-            start = r + 1
+        for i, amplitude in reduced:
+            x = np.square(amplitude, out=squares)
+            if count < n:
+                x = x[keep]
+            mean = np.add.accumulate(x, out=sums)[-1] / count
+            np.subtract(x, mean, out=x)
+            np.square(x, out=x)
+            out[i, r] = mean
+            out[i + 1, r] = np.add.accumulate(x, out=sums)[-1] / (count - ddof)
     return out, alive
 
 
@@ -276,12 +272,13 @@ def fluorescence_ensemble(params: ModeParams, thermal: ThermalParams,
     members are one (3, n_samples) array, stepped in place by
     :func:`opasim.meanfield.rk4_stepper`, which agrees bit for bit with
     :func:`opasim.meanfield.rk4_step` on one array per mode.  The
-    statistics are streamed: each step's |alpha|^2 goes into a chunk of
-    steps whose size a fixed byte budget sets, and a full chunk is reduced
-    at once, so memory is O(n_samples + steps).  Which members diverge is
-    known only at the end; if any did, the ensemble is integrated a second
-    time from its saved initial amplitudes, reducing only the survivors.  Identical
-    master seeds give bit-identical statistics.  Raises
+    statistics are streamed: each step's |alpha|^2 is reduced as soon as
+    the step is taken (see :func:`_streamed_moments`), so no buffer holds
+    more than one step and memory is O(n_samples + steps).  Which members
+    diverge is known only at the end; if any did, the ensemble is
+    integrated a second time from its saved initial amplitudes, reducing
+    only the survivors.  Identical master seeds give bit-identical
+    statistics.  Raises
     :class:`ResourceLimitError` before seeding if ``n_samples`` exceeds
     ``ENSEMBLE_MEMBER_CAP``, ``steps + 1`` exceeds ``TRAJECTORY_SAMPLE_CAP``
     or ``(steps + 1) * n_samples`` exceeds ``ENSEMBLE_MEMBER_STEP_CAP``,

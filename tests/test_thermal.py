@@ -219,9 +219,9 @@ class TestFluorescenceEnsemble:
             assert np.array_equal(state, child.generate_state(4, np.uint64))
 
     def test_peak_memory_does_not_grow_with_steps(self):
-        """Past one chunk of steps, only the (4, steps + 1) statistics and
-        the times grow with the step count: at most 40 bytes per step.  Two
-        (steps + 1) x 2000 buffers would grow by 32 kB per step."""
+        """Only the (4, steps + 1) statistics and the times grow with the
+        step count: at most 40 bytes per step.  Two (steps + 1) x 2000
+        buffers would grow by 32 kB per step."""
         def peak(t_final):
             tracemalloc.start()
             try:
@@ -234,6 +234,21 @@ class TestFluorescenceEnsemble:
         short, long = peak(2.0), peak(8.0)
         assert long - short < 64 * 600
 
+    def test_peak_memory_per_member(self):
+        """A step is reduced as soon as it is taken, so the peak holds only
+        per-member arrays: the state and its saved copy, |alpha|, the
+        stepper's buffers and one row of squares, about 330 bytes per
+        member, plus the seeding block's arrays.  Rows of |alpha|^2 for
+        many steps at once would take 16 bytes per member per step."""
+        n = 2000
+        tracemalloc.start()
+        try:
+            fluorescence_ensemble(PARAMS, ThermalParams(1.0, seed=3), 2.0, 0.01, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * n + 200 * thermal_module._SEED_BLOCK
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fluorescence_ensemble(PARAMS, ThermalParams(1.0), 1.0, 0.01, 0)
@@ -241,6 +256,13 @@ class TestFluorescenceEnsemble:
             ThermalParams(temperature=-0.1)
         with pytest.raises(ValueError):
             ThermalParams(temperature=1.0, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_rejects_non_integer_seeds(self, seed):
+        """A float seed would fail only when the members are seeded, and a
+        bool would run as seed 0 or 1."""
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ThermalParams(1.0, seed=seed)
 
     @pytest.mark.parametrize("t_final,dt,name", [
         (1.0, math.nan, "dt"), (math.nan, 0.01, "t_final"),
@@ -363,8 +385,8 @@ DIVERGING = ModeParams(2.0, 1.2, 0.8, kappa_mag=11.0, pump_alpha0=2.0)
 
 
 class TestBitIdentity:
-    """Driving the shared RK4 step over one array per mode, and streaming
-    the statistics in chunks of steps, changes no bit of the statistics of
+    """Driving the shared RK4 step over one array per mode, and reducing
+    the statistics one step at a time, changes no bit of the statistics of
     a (3, N) batched integration reduced at the end."""
 
     @pytest.mark.parametrize("params,thermal,t_final,dt,n", [
@@ -381,28 +403,28 @@ class TestBitIdentity:
         failures, _, *moments = batched_reference(params, thermal, t_final, dt, n)
         assert_same_statistics(stats, failures, moments)
 
-    @pytest.mark.parametrize("params,thermal,t_final,dt,n,rows", [
-        # 101 steps in chunks of 7 rows over a member count that is not a
-        # multiple of numpy's 8-way unrolled sums
-        (DEPLETING, ThermalParams(0.7, seed=5), 1.0, 0.01, 37, 7),
-        # 51 steps in chunks of 10 rows: the one-row tail joins the last chunk
-        (DEPLETING, ThermalParams(1.1, seed=8), 0.5, 0.01, 40, 10),
-        # members diverge after the first chunk is reduced, so the
-        # survivors' statistics come from the second, masked pass
-        (DIVERGING, ThermalParams(1.5, seed=14), 4.0, 0.06, 64, 3),
-        # a budget below two rows still reduces two rows at a time
-        (PARAMS, ThermalParams(1.0, seed=2), 0.2, 0.01, 37, 0),
-    ], ids=["members-not-multiple-of-8", "one-row-tail", "diverges-after-flush",
-            "budget-below-two-rows"])
-    def test_many_chunks_match_batched_reference(self, monkeypatch, params,
-                                                 thermal, t_final, dt, n, rows):
-        monkeypatch.setattr(thermal_module, "_CHUNK_BYTES", 16 * n * rows)
+    @pytest.mark.parametrize("params,thermal,t_final,dt,n", [
+        # a member count that is not a multiple of numpy's 8-way unrolled sums
+        (DEPLETING, ThermalParams(0.7, seed=5), 1.0, 0.01, 37),
+        # one member: ddof is 0
+        (DEPLETING, ThermalParams(1.1, seed=8), 0.5, 0.01, 1),
+        # 3 of 37 members diverge from step 4 on, so the survivors'
+        # statistics come from the second, masked pass
+        (DIVERGING, ThermalParams(1.5, seed=15), 4.0, 0.06, 37),
+        # T = 0: signal and idler are exact zeros at every step
+        (PARAMS, ThermalParams(0.0, seed=2), 0.2, 0.01, 37),
+    ], ids=["not-multiple-of-8", "one-member", "diverges-mid-run",
+            "zero-temperature"])
+    def test_per_step_matches_batched_reference(self, params, thermal, t_final,
+                                                dt, n):
         stats = fluorescence_ensemble(params, thermal, t_final, dt, n)
         failures, first_failure, *moments = batched_reference(
             params, thermal, t_final, dt, n)
-        assert len(stats.times) > 2 * rows
-        if failures:
-            assert first_failure > rows
+        if params is DIVERGING:
+            assert 1 < failures < n
+            assert 1 < first_failure < len(stats.times) - 1
+        if thermal.temperature == 0:
+            assert not np.any(moments)
         assert_same_statistics(stats, failures, moments)
 
 
