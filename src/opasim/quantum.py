@@ -6,9 +6,10 @@ ordered by n0.  The gauge conj(kappa'/|kappa'|)^k makes every chain a real
 symmetric tridiagonal block.  :func:`system_hamiltonian` returns that
 charge-sector form, and :func:`evolve_state` propagates it exactly: a
 chain is its energy, a pure phase, plus a zero-diagonal coupling that one
-batched half-size SVD per batch of chains diagonalises.  The coupling is
-symmetric under swapping signal and idler, so a chain and its mirror
-that start at the same pump level share one diagonalisation.  A
+batched half-size SVD per batch of chains diagonalises, once per
+distinct coupling row: the coupling is symmetric under swapping signal
+and idler, so a chain and its mirror that start at the same pump level
+share one.  A
 :class:`ProductState`, a coherent or number state in each mode, gives its
 amplitude on a chain entry as a product of three ladder amplitudes, so
 no d0*d1*d2 vector is built.  Of every state, product or dense, the
@@ -341,7 +342,7 @@ def _joined(groups: dict) -> list:
             if 2 * k < longest and longest - k in lone]
 
 
-def _bipartite_modes(links: np.ndarray, twin=slice(None)):
+def _bipartite_modes(links: np.ndarray):
     """Eigenpairs of zero-diagonal tridiagonal blocks by a half-size SVD.
 
     ``links`` (m, L-1) holds the off-diagonals, entry j linking positions j
@@ -351,28 +352,28 @@ def _bipartite_modes(links: np.ndarray, twin=slice(None)):
     [u; +-v]/sqrt(2) on the (even; odd) positions, and for an odd L the
     last column of U a zero mode [u; 0] (Golub & Kahan, SIAM J. Numer.
     Anal. B 2, 205 (1965)).  Returns the eigenvalues (m, L) and
-    eigenvectors (m, L, L), by column, of the m rows ``links[twin]``; each
-    row of ``links`` is diagonalised once, and the gather takes U, s and
-    V, half the bytes of the eigenvectors.  Rows of one or two positions
+    eigenvectors (m, L, L), by column.  Equal rows, a chain and its
+    signal-idler mirror among them, share one SVD (:func:`_distinct_rows`),
+    whose U, s and V, half the bytes of the eigenvectors, are gathered to
+    every row: equal inputs give equal bits.  Rows of one or two positions
     take the closed forms 0, [1] and +-b, [1; +-1]/sqrt(2): a batched SVD
     costs tens of microseconds however small its matrices.  The SVD may
     give those vectors the other sign, which cancels exactly in V (V^T x).
     """
-    length, half = links.shape[1] + 1, (links.shape[1] + 1) // 2
-    if length <= 2:
-        links = links[twin]
-        if length == 1:
-            return np.zeros((links.shape[0], 1)), np.ones((links.shape[0], 1, 1))
+    m, length = links.shape[0], links.shape[1] + 1
+    if length == 1:
+        return np.zeros((m, 1)), np.ones((m, 1, 1))
+    if length == 2:
         pair = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
-        return (np.concatenate([links, -links], axis=1),
-                np.repeat(pair[None], links.shape[0], axis=0))
+        return np.concatenate([links, -links], axis=1), np.repeat(pair[None], m, axis=0)
+    first, twin = _distinct_rows(links)
+    links, half = links[first], length // 2
     rows = np.arange(length - half)
     bidiagonal = np.zeros((links.shape[0], rows.size, half))
     bidiagonal[:, rows[:half], rows[:half]] = links[:, 0::2]
     bidiagonal[:, rows[1:], rows[:-1]] = links[:, 1::2]
     u, s, vt = np.linalg.svd(bidiagonal)
     u, s, vt = u[twin], s[twin], vt[twin]
-    m = s.shape[0]
     vectors = np.zeros((m, length, length))
     vectors[:, 0::2, :half] = vectors[:, 0::2, half:2 * half] = (
         np.sqrt(0.5) * u[:, :, :half])
@@ -382,31 +383,14 @@ def _bipartite_modes(links: np.ndarray, twin=slice(None)):
     return np.concatenate([s, -s, np.zeros((m, length - 2 * half))], axis=1), vectors
 
 
-def _mirror_twins(occupations: np.ndarray, coupling: np.ndarray):
-    """The rows of a batch to diagonalise, and each row's place among them.
-
-    The coupling sqrt(n0 (n1+1) (n2+1)) is symmetric under swapping signal
-    and idler, so a chain (n0+n1, n0+n2) and its mirror (n0+n2, n0+n1) of
-    one batch, which holds one length, have the same row when both start
-    at the same pump level.  Rows are keyed by their first n0 and the
-    unordered pair of their first n1, n2; a joined row (a zero link at its
-    seam) is its own, and rows of one or two positions, which take closed
-    forms, are not keyed.  Returns ``(first, twin)``: the ascending
-    indices of the distinct rows and, per row, the position of its key's
-    first row among them; two full slices when no row is shared, so that
-    nothing is copied.  A dict over the rows costs less than a sort at
-    the tens of rows a batch holds.
-    """
-    if coupling.shape[1] < 2:
-        return slice(None), slice(None)
-    keys = [(n0, n1, n2) if n1 <= n2 else (n0, n2, n1)
-            for n0, n1, n2 in zip(*occupations[:, :, 0].tolist())]
-    if not coupling.all():
-        for row in np.flatnonzero(~coupling.all(axis=1)).tolist():
-            keys[row] = row
+def _distinct_rows(links: np.ndarray):
+    """``(first, twin)``: the ascending indices of the first row of each
+    distinct byte pattern of ``links``, and per row the position of its
+    pattern's among them; two full slices when all rows differ."""
+    keys = np.ascontiguousarray(links).view(f"V{links.itemsize * links.shape[1]}")
     place = {}
-    origin = [place.setdefault(key, row) for row, key in enumerate(keys)]
-    if len(place) == len(keys):
+    origin = [place.setdefault(key, row) for row, key in enumerate(keys.ravel().tolist())]
+    if len(place) == len(origin):
         return slice(None), slice(None)
     first = np.array(list(place.values()))
     return first, np.searchsorted(first, origin)
@@ -420,9 +404,8 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     zero), once per batch of chains and chunk of samples.  Of H on a
     chain, the energy E of :meth:`SectorHamiltonian.chains` is a constant
     whose phase no reduced observable sees.  The rest, the coupling, is
-    diagonalised per batch by :func:`_bipartite_modes`, once per mirror
-    pair of rows (:func:`_mirror_twins`); the twin takes the same
-    eigenpairs, which are the bits its own SVD would give.  The phases of
+    diagonalised per batch by :func:`_bipartite_modes`, once per distinct
+    row.  The phases of
     sample k are the k-th powers of one step's phases.  The sample axis is
     cut into chunks of one size, whose evolved block stays within
     ``CHAIN_BLOCK_BYTES`` or holds six samples where that is more, so the
@@ -439,8 +422,7 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     for index, occupations, energy, coupling, start in _chain_starts(h, psi0):
         m, length = index.shape
         gauge = np.exp(1j * angle * np.arange(length))
-        first, twin = _mirror_twins(occupations, coupling)
-        eigvals, vectors = _bipartite_modes(magnitude * coupling[first], twin)
+        eigvals, vectors = _bipartite_modes(magnitude * coupling)
         phases = np.exp(-1j * step * eigvals)[:, :, None]
         carry = np.einsum("mjl,mj->ml", vectors, gauge.conj() * start)
         # chunks of one size, whatever the sample count; a later chunk holds

@@ -790,20 +790,21 @@ class TestNegligibleChains:
 
 
 class TestMirrorTwins:
-    """Swapping signal and idler leaves the coupling unchanged, so a chain
-    and its mirror that start at one pump level share one diagonalisation.
-    Identical rows get identical bits, so sharing moves nothing."""
+    """Equal coupling rows of a batch share one diagonalisation.  The
+    coupling is symmetric under swapping signal and idler, so a chain and
+    its mirror that start at one pump level have equal rows.  Equal inputs
+    give equal bits, so sharing moves nothing."""
 
     PARAMS = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.1, phi=0.3)
     LABELS = (1.5 + 0j, 0.3 + 0j, -0.3j)
 
-    def evolved(self, monkeypatch, psi0, dims, share=True):
-        """The evolution, states read, and the rows of more than two
-        positions, which take the SVD, [out of ``_chain_starts``, of them
-        with n1 = n2 at their start, into ``_bipartite_modes``] of its
-        observables."""
-        count = [0, 0, 0]
-        starts, modes = quantum._chain_starts, quantum._bipartite_modes
+    def evolved(self, monkeypatch, psi0, dims, share=True, params=PARAMS):
+        """The evolution, states read, and of its observables the rows of
+        more than two positions, which take the SVD, [out of
+        ``_chain_starts``, of them with n1 = n2 at their start], and the
+        rows of each ``np.linalg.svd`` call."""
+        count, calls = [0, 0], []
+        starts, svd = quantum._chain_starts, np.linalg.svd
 
         def counted_starts(h, state):
             for batch in starts(h, state):
@@ -812,19 +813,18 @@ class TestMirrorTwins:
                     count[1] += np.count_nonzero(batch[1][1, :, 0] == batch[1][2, :, 0])
                 yield batch
 
-        def counted_modes(links, twin=slice(None)):
-            count[2] += links.shape[0] if links.shape[1] > 1 else 0
-            return modes(links, twin)
+        def counted_svd(matrices):
+            calls.append(matrices.shape[0])
+            return svd(matrices)
 
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "_chain_starts", counted_starts)
-            patch.setattr(quantum, "_bipartite_modes", counted_modes)
+            patch.setattr(np.linalg, "svd", counted_svd)
             if not share:
-                patch.setattr(quantum, "_mirror_twins",
-                              lambda occupations, coupling: (slice(None), slice(None)))
-            result = evolve_state(system_hamiltonian(self.PARAMS, dims), psi0, 2.0, 9,
-                                  dims)
-            rows = list(count)
+                patch.setattr(quantum, "_distinct_rows",
+                              lambda links: (slice(None), slice(None)))
+            result = evolve_state(system_hamiltonian(params, dims), psi0, 2.0, 9, dims)
+            rows = [*count, calls[:]]
             result.states
         return result, rows
 
@@ -843,7 +843,7 @@ class TestMirrorTwins:
             psi0 /= np.linalg.norm(psi0)
         shared, (rows, _, into) = self.evolved(monkeypatch, psi0, dims)
         apart, (_, _, every) = self.evolved(monkeypatch, psi0, dims, share=False)
-        assert into < every == rows
+        assert sum(into) < sum(every) == rows
         for name in ("times", "expectations", "energies", "norm_deviations", "leakage",
                      "warnings", "states"):
             assert np.array_equal(getattr(shared, name), getattr(apart, name)), name
@@ -857,8 +857,8 @@ class TestMirrorTwins:
         dims = TruncationDims(12, 12, 12)
         _, (rows, diagonal, into) = self.evolved(
             monkeypatch, ProductState(self.LABELS, dims), dims)
-        assert (rows, diagonal, into) == (265, 17, 141)
-        assert 2 * into == rows + diagonal
+        assert (rows, diagonal, sum(into)) == (265, 17, 141)
+        assert 2 * sum(into) == rows + diagonal
 
     def test_vacuum_seed_shares_nothing(self, monkeypatch):
         """Vacuum signal and idler occupy the chains (n0, n0) alone, each
@@ -866,7 +866,24 @@ class TestMirrorTwins:
         dims = TruncationDims(30, 12, 12)
         _, (rows, diagonal, into) = self.evolved(
             monkeypatch, ProductState((2.0 + 0j, 0, 0), dims), dims)
-        assert rows == diagonal == into > 0
+        assert rows == diagonal == sum(into) > 0
+
+    @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
+    def test_uncoupled_rows_share_one_svd_per_batch(self, monkeypatch):
+        """At kappa = 0 every link is 0, so all rows of a batch are equal,
+        joined rows and rows that are no mirror of one another alike: each
+        SVD diagonalises one of the 126 rows of more than two positions at
+        (10,9,8), where a key of mirror pairs diagonalised 111 of them."""
+        dims = TruncationDims(10, 9, 8)
+        params = ModeParams(2.0, 1.2, 0.8, kappa_mag=0.0)
+        psi0 = ProductState(self.LABELS, dims)
+        shared, (rows, _, into) = self.evolved(monkeypatch, psi0, dims, params=params)
+        apart, (_, _, every) = self.evolved(monkeypatch, psi0, dims, share=False,
+                                            params=params)
+        assert set(into) == {1} and len(into) == len(every)
+        assert sum(every) == rows == 126
+        for name in ("expectations", "energies", "norm_deviations", "leakage", "states"):
+            assert np.array_equal(getattr(shared, name), getattr(apart, name)), name
 
 
 class TestExpectationNumber:
