@@ -294,30 +294,40 @@ def _chain_starts(h: SectorHamiltonian, psi0):
     ``psi0`` is a dense state or a :class:`ProductState`; ``start`` (m, L)
     holds its amplitudes on the m rows of a batch.  Every state is weighed
     by its start norm^2 on every chain with a basis state
-    (n1 - n2 in [1 - d2, d1 - 1]), a product state from its ladders with
-    no d0*d1*d2 array; the lightest, weightless first, are dropped while
-    their sum stays within ``NEGLIGIBLE_WEIGHT`` times the state's.  A
-    chain keeps its norm, so a reduced sum moves by at most that times its
-    largest weight.
+    (n1 - n2 in [1 - d2, d1 - 1]), a product state from its ladders one
+    band column at a time, holding only the chains its ladders reach, so
+    that its memory follows its weight, not d0*d1*d2 or the band; the
+    lightest, weightless first, are dropped while their sum stays within
+    ``NEGLIGIBLE_WEIGHT`` times the state's.  A chain keeps its norm, so a
+    reduced sum moves by at most that times its largest weight.
     """
     d, product = h.dims, isinstance(psi0, ProductState)
     width = d.d1 + d.d2 - 1  # the band: n0+n1 major, n1 - n2 + d2 - 1 minor
-    if product:  # p1[n1] p2[n2] at (n1, n1 - n2 + d2 - 1), convolved with p0
+    if product:  # per band column, p1[n1] p2[n2] convolved with p0
         p0, p1, p2 = (abs(c) ** 2 for c in psi0.ladders)
-        n1, n2 = np.ogrid[:d.d1, :d.d2]
-        pair = np.zeros((d.d1, width))
-        pair[n1, n1 - n2 + d.d2 - 1] = np.outer(p1, p2)
-        mass = np.zeros((d.d0 + d.d1 - 1, width))
-        for column in np.flatnonzero(pair.any(axis=0)):  # the rest stay exactly 0
-            mass[:, column] = np.convolve(p0, pair[:, column])
-        mass = mass.ravel()
+        (low1, high1), (low2, high2) = ((w[0], w[-1] + 1) for w in
+                                        map(np.flatnonzero, (p1, p2)))
+        shifts = np.arange(low1 - high2 + 1, high1 - low2)  # n1 - n2 per column
+        firsts = np.maximum(low1, low2 + shifts)  # and its weighted n1 first:stop
+        stops = np.minimum(high1, high2 + shifts)
+        masses = []
+        for shift, first, stop in zip(shifts.tolist(), firsts.tolist(), stops.tolist()):
+            column = np.zeros(d.d1)
+            column[first:stop] = p1[first:stop] * p2[first - shift:stop - shift]
+            # n0+n1 in first .. stop + d0 - 2; the rest of the band is exactly 0
+            masses.append(np.convolve(p0, column)[first:stop + d.d0 - 1].copy())
+        reach = stops - firsts + d.d0 - 1
+        charge1 = np.arange(reach.sum()) - np.repeat(reach.cumsum() - reach - firsts, reach)
+        keys = charge1 * width + np.repeat(shifts + d.d2 - 1, reach)
+        mass = np.concatenate(masses)
+        order = np.lexsort((keys, mass))  # ties by key, as a stable sort of the band
     else:
         n0, n1, n2 = np.ogrid[:d.d0, :d.d1, :d.d2]
         mass = np.bincount(((n0 + n1) * width + n1 - n2 + d.d2 - 1).ravel(),
                            abs(psi0) ** 2, minlength=(d.d0 + d.d1 - 1) * width)
-    order = np.argsort(mass, kind="stable")
+        keys, order = np.arange(mass.size), np.argsort(mass, kind="stable")
     light = np.count_nonzero(np.cumsum(mass[order]) <= NEGLIGIBLE_WEIGHT * mass.sum())
-    charge1, offset = np.divmod(np.sort(order[light:]), width)
+    charge1, offset = np.divmod(np.sort(keys[order[light:]]), width)
     for batch in h.chains(charge1, charge1 - offset + (d.d2 - 1)):
         yield *batch, psi0.amplitudes(batch[1]) if product else psi0[batch[0]]
 
