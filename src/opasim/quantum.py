@@ -9,14 +9,13 @@ chain is its energy, a pure phase, plus a zero-diagonal coupling that one
 batched half-size SVD per batch of chains diagonalises, once per
 distinct coupling row: the coupling is symmetric under swapping signal
 and idler, so a chain and its mirror that start at the same pump level
-share one.  A
-:class:`ProductState`, a coherent or number state in each mode, gives its
-amplitude on a chain entry as a product of three ladder amplitudes, so
-no d0*d1*d2 vector is built.  Of every state, product or dense, the
-lightest chains are not evolved while their summed start norm^2 stays
-within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of the state's, so a reduced sum
-moves by at most that times its largest weight, and an amplitude by its
-square root.  The kept chains are batched by length, two lone chains of
+share one.  A :class:`ProductState`, a coherent or number state in each
+mode, gives its amplitude on a chain entry as a product of three ladder
+amplitudes, so no d0*d1*d2 vector is built.  Of every state, product
+or dense, the lightest chains are not evolved while their summed start
+norm^2 stays within ``NEGLIGIBLE_WEIGHT`` = 1e-30 of the state's, so a
+reduced sum moves by at most that times its largest weight, and an
+amplitude by its square root.  The kept chains are batched by length, two lone chains of
 complementary lengths joined into one row.  The norm, occupations,
 energy and top-level leakage of every sample are reduced inside that
 chain loop, so the (samples, dim) state array is assembled only when a
@@ -317,15 +316,16 @@ def _chain_starts(h: SectorHamiltonian, psi0):
             # n0+n1 in first .. stop + d0 - 2; the rest of the band is exactly 0
             masses.append(np.convolve(p0, column)[first:stop + d.d0 - 1].copy())
         reach = stops - firsts + d.d0 - 1
-        charge1 = np.arange(reach.sum()) - np.repeat(reach.cumsum() - reach - firsts, reach)
+        charge1 = (np.arange(reach.sum())
+                   - np.repeat(reach.cumsum() - reach - firsts, reach))
         keys = charge1 * width + np.repeat(shifts + d.d2 - 1, reach)
         mass = np.concatenate(masses)
-        order = np.lexsort((keys, mass))  # ties by key, as a stable sort of the band
     else:
         n0, n1, n2 = np.ogrid[:d.d0, :d.d1, :d.d2]
         mass = np.bincount(((n0 + n1) * width + n1 - n2 + d.d2 - 1).ravel(),
                            abs(psi0) ** 2, minlength=(d.d0 + d.d1 - 1) * width)
-        keys, order = np.arange(mass.size), np.argsort(mass, kind="stable")
+        keys = np.arange(mass.size)
+    order = np.lexsort((keys, mass))  # lightest first, ties by place in the band
     light = np.count_nonzero(np.cumsum(mass[order]) <= NEGLIGIBLE_WEIGHT * mass.sum())
     charge1, offset = np.divmod(np.sort(keys[order[light:]]), width)
     for batch in h.chains(charge1, charge1 - offset + (d.d2 - 1)):
@@ -395,11 +395,12 @@ def _bipartite_modes(links: np.ndarray):
 
 def _distinct_rows(links: np.ndarray):
     """``(first, twin)``: the ascending indices of the first row of each
-    distinct byte pattern of ``links``, and per row the position of its
-    pattern's among them; two full slices when all rows differ."""
+    distinct byte pattern of ``links`` and, per row, the place of its
+    pattern's first row among them; two full slices when all rows differ."""
     keys = np.ascontiguousarray(links).view(f"V{links.itemsize * links.shape[1]}")
     place = {}
-    origin = [place.setdefault(key, row) for row, key in enumerate(keys.ravel().tolist())]
+    origin = [place.setdefault(key, row)
+              for row, key in enumerate(keys.ravel().tolist())]
     if len(place) == len(origin):
         return slice(None), slice(None)
     first = np.array(list(place.values()))
@@ -415,17 +416,16 @@ def _evolved_chains(h: SectorHamiltonian, psi0, step: float, n_samples: int):
     chain, the energy E of :meth:`SectorHamiltonian.chains` is a constant
     whose phase no reduced observable sees.  The rest, the coupling, is
     diagonalised per batch by :func:`_bipartite_modes`, once per distinct
-    row.  The phases of
-    sample k are the k-th powers of one step's phases.  The sample axis is
-    cut into chunks of one size, whose evolved block stays within
-    ``CHAIN_BLOCK_BYTES`` or holds six samples where that is more, so the
-    peak does not grow with the sample count; the last chunk takes the
-    rest.  Each chunk continues the running product from the last sample
-    of the chunk before, so the amplitudes do not depend on the cut.
-    ``samples`` is the chunk's slice of the sample axis.  ``frame``
-    (m, L, 2 n) holds the real and imaginary parts of its n evolved
-    samples in the gauge conj(kappa'/|kappa'|)^j, where every chain is a
-    real block; the basis amplitudes are
+    row.  The phases of sample k are the k-th powers of one step's
+    phases.  The sample axis is cut into chunks of one size, whose
+    evolved block stays within ``CHAIN_BLOCK_BYTES`` or holds six samples
+    where that is more, so the peak does not grow with the sample count;
+    the last chunk takes the rest.  Each chunk continues the running
+    product from the last sample of the chunk before, so the amplitudes
+    do not depend on the cut.  ``samples`` is the chunk's slice of the
+    sample axis.  ``frame`` (m, L, 2 n) holds the real and imaginary parts
+    of its n evolved samples in the gauge conj(kappa'/|kappa'|)^j, where
+    every chain is a real block; the basis amplitudes are
     ``frame.view(complex) * gauge[:, None] * exp(-i E t)``.
     """
     magnitude, angle = abs(h.params.kappa_prime), -np.angle(h.params.kappa_prime)

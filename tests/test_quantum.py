@@ -817,10 +817,10 @@ class TestMirrorTwins:
     LABELS = (1.5 + 0j, 0.3 + 0j, -0.3j)
 
     def evolved(self, monkeypatch, psi0, dims, share=True, params=PARAMS):
-        """The evolution, states read, and of its observables the rows of
-        more than two positions, which take the SVD, [out of
-        ``_chain_starts``, of them with n1 = n2 at their start], and the
-        rows of each ``np.linalg.svd`` call."""
+        """The evolution, states read, and of its observables' pass the
+        rows of more than two positions, which take the SVD, out of
+        ``_chain_starts``, those of them with n1 = n2 at their start, and
+        the rows of each ``np.linalg.svd`` call."""
         count, calls = [0, 0], []
         starts, svd = quantum._chain_starts, np.linalg.svd
 
@@ -846,6 +846,12 @@ class TestMirrorTwins:
             result.states
         return result, rows
 
+    @staticmethod
+    def assert_bit_equal(shared, apart):
+        for name in ("times", "expectations", "energies", "norm_deviations", "leakage",
+                     "warnings", "states"):
+            assert np.array_equal(getattr(shared, name), getattr(apart, name)), name
+
     @pytest.mark.parametrize("dims,dense", [
         (TruncationDims(10, 9, 9), False), (TruncationDims(10, 8, 9), False),
         (TruncationDims(9, 8, 8), True),
@@ -862,9 +868,7 @@ class TestMirrorTwins:
         shared, (rows, _, into) = self.evolved(monkeypatch, psi0, dims)
         apart, (_, _, every) = self.evolved(monkeypatch, psi0, dims, share=False)
         assert sum(into) < sum(every) == rows
-        for name in ("times", "expectations", "energies", "norm_deviations", "leakage",
-                     "warnings", "states"):
-            assert np.array_equal(getattr(shared, name), getattr(apart, name)), name
+        self.assert_bit_equal(shared, apart)
 
     @pytest.mark.filterwarnings("ignore::opasim.errors.TruncationWarning")
     def test_equal_signal_and_idler_ladders_halve_the_rows(self, monkeypatch):
@@ -900,8 +904,7 @@ class TestMirrorTwins:
                                             params=params)
         assert set(into) == {1} and len(into) == len(every)
         assert sum(every) == rows == 126
-        for name in ("expectations", "energies", "norm_deviations", "leakage", "states"):
-            assert np.array_equal(getattr(shared, name), getattr(apart, name)), name
+        self.assert_bit_equal(shared, apart)
 
 
 class TestExpectationNumber:
